@@ -48,13 +48,15 @@ race:
 # and run, without the minutes-long full benchmark pass. The first run also
 # gates the zero-alloc contract: BenchmarkServeRequest (observer disabled)
 # must stay under the ALLOC_GATE_AWK threshold; the Observed variant is
-# tracked but not gated.
+# tracked but not gated. The last line runs ICN-NR through the sharded
+# streaming loop on Geant at 1 and 2 workers and re-checks Result equality.
 bench-smoke:
 	@out="$$($(GO) test ./internal/sim -run '^$$' -bench '^BenchmarkServeRequest$$' -benchtime 1000x -benchmem)" || { echo "$$out"; exit 1; }; \
 	echo "$$out"; \
 	echo "$$out" | awk '$(ALLOC_GATE_AWK)'
 	$(GO) test ./internal/sim -run '^$$' -bench '^BenchmarkServeRequestObserved$$' -benchtime 1000x -benchmem
 	$(GO) test . -run '^$$' -bench 'BenchmarkFigure6Parallel' -benchtime 1x
+	$(GO) test . -run '^$$' -bench 'BenchmarkShardedStream/ICN-NR' -benchtime 1x
 
 # Apply the allocation gate to benchmark output piped on stdin. Exists so
 # the gate's exact threshold is testable (see alloc_gate_test.go) and
@@ -80,8 +82,9 @@ overload-smoke:
 crash-smoke:
 	$(GO) test -race -count=1 -run '^TestCrashResumeDrill' ./internal/checkpoint
 
-# Measure sharded streaming throughput at 1, half, and all cores and append
-# the timestamped requests_per_sec series to the committed perf log, then
+# Measure sharded streaming throughput (EDGE on ATT, ICN-NR on Geant) at 1,
+# half, and all cores and append the timestamped requests_per_sec series to
+# the committed perf log, then
 # the daemon overload series (admitted/sec and p99 queue wait at 1x/2x/4x
 # offered load, plus a load-under-chaos point that must engage the brownout
 # ladder while holding goodput above a quarter of fault-free capacity) to

@@ -302,44 +302,50 @@ func BenchmarkFigure6Parallel(b *testing.B) {
 }
 
 // BenchmarkShardedStream runs one sharded streaming simulation (sim.RunStream,
-// one shard per PoP) over a fixed 200k-request EDGE workload at several worker
-// counts, reporting end-to-end req/s. Every sub-benchmark re-checks that its
-// merged Result is bit-identical to the Workers=1 run — the epoch-synchronized
-// exchange must make worker count unobservable in the output.
+// one shard per PoP) over a fixed 200k-request workload at several worker
+// counts, reporting end-to-end req/s: EDGE on ATT (trace generation and the
+// per-leaf LRU do the work) and ICN-NR on Geant (nearest-replica lookup,
+// replica-index upkeep and the epoch exchange do). Every sub-benchmark
+// re-checks that its merged Result is bit-identical to the Workers=1 run — the
+// epoch-synchronized exchange must make worker count unobservable in the
+// output.
 func BenchmarkShardedStream(b *testing.B) {
-	net := topo.NewNetwork(topo.ATT(), 2, 4)
-	const objects = 10000
 	const requests = 200000
-	weights := net.Topo.PopulationWeights()
-	origins := trace.OriginAssignment(objects, weights, true, 3)
-	reqs := trace.NewSyntheticRequests(trace.StreamConfig{
-		Requests: requests, Objects: objects, Alpha: 1.04,
-		PoPWeights: weights, Leaves: net.LeavesPerTree(), Seed: 7,
-		TemporalLocality: 0.7,
-	})
-	cfg := sim.EDGE.Apply(sim.Config{
-		Network: net, Objects: objects, Origins: origins,
-		BudgetFraction: 0.05, BudgetPolicy: sim.BudgetProportional,
-	})
-	want, err := sim.RunStream(cfg, trace.Requests(reqs), sim.StreamOptions{Workers: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, workers := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			opt := sim.StreamOptions{Workers: workers}
-			for i := 0; i < b.N; i++ {
-				got, err := sim.RunStream(cfg, trace.Requests(reqs), opt)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if !reflect.DeepEqual(got, want) {
-					b.Fatalf("workers=%d result differs from workers=1", workers)
-				}
-			}
-			b.ReportMetric(float64(requests)*float64(b.N)/b.Elapsed().Seconds(), "req/s")
+	run := func(b *testing.B, prefix string, tp *topo.Topology, depth, objects int, design sim.Design, workerCounts []int) {
+		net := topo.NewNetwork(tp, 2, depth)
+		weights := tp.PopulationWeights()
+		origins := trace.OriginAssignment(objects, weights, true, 3)
+		reqs := trace.NewSyntheticRequests(trace.StreamConfig{
+			Requests: requests, Objects: objects, Alpha: 1.04,
+			PoPWeights: weights, Leaves: net.LeavesPerTree(), Seed: 7,
+			TemporalLocality: 0.7,
 		})
+		cfg := design.Apply(sim.Config{
+			Network: net, Objects: objects, Origins: origins,
+			BudgetFraction: 0.05, BudgetPolicy: sim.BudgetProportional,
+		})
+		want, err := sim.RunStream(cfg, trace.Requests(reqs), sim.StreamOptions{Workers: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, workers := range workerCounts {
+			b.Run(fmt.Sprintf("%sworkers=%d", prefix, workers), func(b *testing.B) {
+				opt := sim.StreamOptions{Workers: workers}
+				for i := 0; i < b.N; i++ {
+					got, err := sim.RunStream(cfg, trace.Requests(reqs), opt)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if !reflect.DeepEqual(got, want) {
+						b.Fatalf("workers=%d result differs from workers=1", workers)
+					}
+				}
+				b.ReportMetric(float64(requests)*float64(b.N)/b.Elapsed().Seconds(), "req/s")
+			})
+		}
 	}
+	run(b, "", topo.ATT(), 4, 10000, sim.EDGE, []int{1, 2, 4})
+	run(b, "ICN-NR/Geant/", topo.Geant(), 5, 1000, sim.ICNNR, []int{1, 2})
 }
 
 // BenchmarkFig6TraceLike regenerates Figure 6 under the trace-like stream

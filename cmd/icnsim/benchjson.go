@@ -141,56 +141,67 @@ func streamWorkerCounts() []int {
 }
 
 // shardedStreamRecords measures end-to-end sharded streaming throughput
-// (sim.RunStream) at 1, half, and all cores on a fixed 2M-request EDGE
-// workload, verifying along the way that every worker count produces the
-// identical Result. Invoked by both -bench-json and -bench-append.
+// (sim.RunStream) at 1, half, and all cores on two fixed workloads — 2M
+// requests of EDGE on ATT (generation and the per-leaf LRU do the work) and
+// 250k of ICN-NR on Geant (nearest-replica lookup, replica-index upkeep and
+// the epoch exchange do) — verifying along the way that every worker count
+// produces the identical Result. Invoked by both -bench-json and
+// -bench-append.
 func shardedStreamRecords() []BenchRecord {
 	stamp := time.Now().UTC().Format(time.RFC3339)
-	tp := topo.ATT()
-	net := topo.NewNetwork(tp, 2, 4)
-	const objects = 20000
-	const requests = 2_000_000
-	weights := tp.PopulationWeights()
-	origins := trace.OriginAssignment(objects, weights, true, 3)
-	reqs := trace.NewSyntheticRequests(trace.StreamConfig{
-		Requests: requests, Objects: objects, Alpha: 1.04,
-		PoPWeights: weights, Leaves: net.LeavesPerTree(), Seed: 7,
-		TemporalLocality: 0.7,
-	})
-	cfg := sim.EDGE.Apply(sim.Config{
-		Network: net, Objects: objects, Origins: origins,
-		BudgetFraction: 0.05, BudgetPolicy: sim.BudgetProportional,
-	})
-
 	var records []BenchRecord
-	var want sim.Result
-	for i, workers := range streamWorkerCounts() {
-		opt := sim.StreamOptions{Workers: workers}
-		got, err := sim.RunStream(cfg, trace.Requests(reqs), opt)
-		if err != nil {
-			panic(fmt.Sprintf("icnsim: sharded bench: %v", err))
-		}
-		if i == 0 {
-			want = got
-		} else if !reflect.DeepEqual(got, want) {
-			panic(fmt.Sprintf("icnsim: sharded bench: Workers=%d result differs from Workers=1", workers))
-		}
-		res := testing.Benchmark(func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := sim.RunStream(cfg, trace.Requests(reqs), opt); err != nil {
-					b.Fatal(err)
-				}
+	for _, w := range []struct {
+		name              string
+		tp                *topo.Topology
+		depth             int
+		design            sim.Design
+		objects, requests int
+	}{
+		{"ShardedStream/EDGE", topo.ATT(), 4, sim.EDGE, 20000, 2_000_000},
+		{"ShardedStream/ICN-NR/Geant", topo.Geant(), 5, sim.ICNNR, 1000, 250_000},
+	} {
+		net := topo.NewNetwork(w.tp, 2, w.depth)
+		weights := w.tp.PopulationWeights()
+		origins := trace.OriginAssignment(w.objects, weights, true, 3)
+		reqs := trace.NewSyntheticRequests(trace.StreamConfig{
+			Requests: w.requests, Objects: w.objects, Alpha: 1.04,
+			PoPWeights: weights, Leaves: net.LeavesPerTree(), Seed: 7,
+			TemporalLocality: 0.7,
+		})
+		cfg := w.design.Apply(sim.Config{
+			Network: net, Objects: w.objects, Origins: origins,
+			BudgetFraction: 0.05, BudgetPolicy: sim.BudgetProportional,
+		})
+
+		var want sim.Result
+		for i, workers := range streamWorkerCounts() {
+			opt := sim.StreamOptions{Workers: workers}
+			got, err := sim.RunStream(cfg, trace.Requests(reqs), opt)
+			if err != nil {
+				panic(fmt.Sprintf("icnsim: sharded bench: %v", err))
 			}
-		})
-		perReq := float64(res.NsPerOp()) / requests
-		records = append(records, BenchRecord{
-			Name:           "ShardedStream/EDGE",
-			Unit:           "request",
-			NsPerOp:        perReq,
-			Workers:        workers,
-			RequestsPerSec: 1e9 / perReq,
-			Time:           stamp,
-		})
+			if i == 0 {
+				want = got
+			} else if !reflect.DeepEqual(got, want) {
+				panic(fmt.Sprintf("icnsim: sharded bench: %s Workers=%d result differs from Workers=1", w.name, workers))
+			}
+			res := testing.Benchmark(func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					if _, err := sim.RunStream(cfg, trace.Requests(reqs), opt); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+			perReq := float64(res.NsPerOp()) / float64(w.requests)
+			records = append(records, BenchRecord{
+				Name:           w.name,
+				Unit:           "request",
+				NsPerOp:        perReq,
+				Workers:        workers,
+				RequestsPerSec: 1e9 / perReq,
+				Time:           stamp,
+			})
+		}
 	}
 	return records
 }

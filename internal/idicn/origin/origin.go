@@ -51,8 +51,12 @@ type Server struct {
 	// originHits counts requests that had to touch the origin store (as
 	// opposed to the reverse proxy's front cache).
 	originHits int64
-	front      *cache.LRU[string, *Object]
-	clock      func() time.Time
+	// front is the reverse proxy's cache. cache.LRU is not synchronized and
+	// even Get reorders it, so every use holds mu exclusively.
+	//icn:guardedby mu
+	front        *cache.LRU[string, *Object]
+	frontEntries int // front's capacity; New builds it once options have run
+	clock        func() time.Time
 
 	// registerRetry governs retries of resolver registrations during
 	// Publish. The zero value retries transient failures a few times with
@@ -71,7 +75,7 @@ func WithMirrors(urls ...string) Option {
 // WithFrontCache bounds the reverse proxy's front cache (default 1024
 // objects).
 func WithFrontCache(entries int) Option {
-	return func(s *Server) { s.front = cache.NewLRU[string, *Object](entries, nil) }
+	return func(s *Server) { s.frontEntries = entries }
 }
 
 // WithClock overrides time.Now, for tests.
@@ -96,12 +100,13 @@ func New(p *names.Principal, resolverClient *resolver.Client, baseURL string, op
 		baseURL:   strings.TrimRight(baseURL, "/"),
 		objects:   make(map[string]*Object),
 		seq:       make(map[string]uint64),
-		front:     cache.NewLRU[string, *Object](1024, nil),
 		clock:     time.Now,
 	}
+	s.frontEntries = 1024
 	for _, o := range opts {
 		o(s)
 	}
+	s.front = cache.NewLRU[string, *Object](s.frontEntries, nil)
 	return s
 }
 
@@ -139,8 +144,8 @@ func (s *Server) Publish(ctx context.Context, label, contentType string, body []
 	s.seq[label]++
 	obj.Seq = s.seq[label]
 	s.objects[label] = obj
-	s.mu.Unlock()
 	s.front.Remove(label)
+	s.mu.Unlock()
 
 	if s.resolver != nil {
 		reg, err := resolver.NewRegistration(s.principal, label, obj.Seq, mirrors)
@@ -214,18 +219,16 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // lookup goes through the reverse proxy's front cache before the origin
 // store, mirroring Figure 11's step-5 short circuit.
 func (s *Server) lookup(label string) (*Object, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if o, ok := s.front.Get(label); ok {
 		return o, true
 	}
-	s.mu.Lock()
 	o, ok := s.objects[label]
-	if ok {
-		s.originHits++
-	}
-	s.mu.Unlock()
 	if !ok {
 		return nil, false
 	}
+	s.originHits++
 	s.front.Put(label, o)
 	return o, true
 }

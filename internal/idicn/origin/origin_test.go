@@ -352,3 +352,55 @@ func TestPublishDoesNotRetryPermanentRejection(t *testing.T) {
 		t.Fatalf("resolver saw %d registration attempts, want 1 (no retry on permanent rejection)", got)
 	}
 }
+
+// TestConcurrentMissesThroughFrontCache is the regression test for the
+// front-cache data race: distinct-label misses from several request
+// goroutines both read and write the reverse proxy's LRU (and, with a front
+// cache smaller than the label set, evict from it), while a republish removes
+// entries. Before the cache was guarded by mu this killed the process with
+// "concurrent map read and map write"; under -race (make race) it fails on
+// the first unsynchronized access.
+func TestConcurrentMissesThroughFrontCache(t *testing.T) {
+	const labels, workers, rounds = 64, 6, 200
+	org := New(principal(t, 11), nil, "http://standalone.example", WithFrontCache(8))
+	ctx := context.Background()
+	label := func(i int) string { return "obj" + string(rune('a'+i/26)) + string(rune('a'+i%26)) }
+	for i := 0; i < labels; i++ {
+		if _, err := org.Publish(ctx, label(i), "text/plain", []byte(label(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	var bad atomic.Int64
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				l := label((w*rounds + r*7) % labels)
+				rec := httptest.NewRecorder()
+				org.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/content/"+l, nil))
+				if rec.Code != http.StatusOK || rec.Body.String() != l {
+					bad.Add(1)
+				}
+			}
+		}(w)
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for r := 0; r < rounds/4; r++ {
+			l := label(r % labels)
+			if _, err := org.Publish(ctx, l, "text/plain", []byte(l)); err != nil {
+				bad.Add(1)
+			}
+		}
+	}()
+	wg.Wait()
+	if n := bad.Load(); n != 0 {
+		t.Fatalf("%d of %d concurrent requests failed or returned the wrong body", n, workers*rounds)
+	}
+	if hits := org.OriginHits(); hits < labels {
+		t.Errorf("origin hits = %d, want at least one per label (%d): the front cache is smaller than the label set", hits, labels)
+	}
+}

@@ -15,7 +15,11 @@ type Engine struct {
 	cfg Config
 	net *topo.Network
 
-	caches   []store // indexed by NodeID; nil where the placement has no cache
+	caches []store // indexed by NodeID; nil where the placement has no cache
+	// replicas is the nearest-replica index (nil under other routing). A
+	// shard of a streaming run keeps only its own PoP's nodes here, always
+	// current; every other PoP is read from the run's shared epoch-start
+	// index (shardShared.replicas).
 	replicas *replicaIndex
 
 	// Load accounting (object transfers, or bytes when Sizes are given).
@@ -25,6 +29,7 @@ type Engine struct {
 	originServed []int64 // per PoP
 	served       []int64 // per node, within the current capacity window
 	nearestOK    func(topo.NodeID) bool
+	remoteOK     func(topo.NodeID) bool // nearestOK minus this shard's own nodes
 
 	// Failure-plan state (nil/zero when Config.FailurePlan is nil).
 	failed       []bool  // per node: currently blacked out
@@ -255,6 +260,8 @@ func newEngine(cfg Config, sh *engineShard) (*Engine, error) {
 	}
 	e.sh = sh
 	e.nearestOK = func(n topo.NodeID) bool { return e.admissibleAny(n) }
+	// A replica node this engine has a store for is one of its own.
+	e.remoteOK = func(n topo.NodeID) bool { return e.caches[n] == nil && e.admissibleAny(n) }
 	e.provisionCaches()
 	return e, nil
 }
@@ -275,7 +282,7 @@ func (e *Engine) hasCacheLocal(local int32) bool {
 
 func (e *Engine) provisionCaches() {
 	e.forEachProvision(func(pop int, node topo.NodeID, capEntries int, slots, meanSize float64) {
-		if e.sh != nil && !e.sh.ownPoP[pop] {
+		if e.sh != nil && e.sh.pop != pop {
 			return // another shard owns this PoP's caches
 		}
 		e.caches[node] = e.newStore(node, capEntries, slots, meanSize)
@@ -814,6 +821,9 @@ func (e *Engine) recordServe(node topo.NodeID, i int, q Request) ServeLevel {
 func (e *Engine) markServed(node topo.NodeID) {
 	if e.served != nil {
 		e.served[node]++
+		if e.sh != nil {
+			e.sh.servedDirty = true
+		}
 	}
 	_, local := e.net.Split(node)
 	e.servedDepth[e.net.DepthOf(local)]++
@@ -926,6 +936,9 @@ func (e *Engine) serveNearestReplica(q Request) {
 	}
 
 	node, dist, found := e.replicas.nearest(net, pop, leafLocal, q.Object, e.nearestOK)
+	if e.sh != nil {
+		node, dist, found = e.nearestAcrossShards(pop, leafLocal, q.Object, node, dist, found)
+	}
 	if found && node == net.Node(origin, 0) {
 		// The origin PoP's root cache is indistinguishable from the origin
 		// itself (same location, same distance): account it as the origin.

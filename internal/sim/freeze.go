@@ -11,9 +11,9 @@ import (
 // StreamState is the complete state of a sharded streaming run at an epoch
 // barrier, sufficient to resume the run with a Result bit-identical to one
 // that never stopped. It is captured by RunStream's Checkpoint hook right
-// after the epoch exchange, when every shard's replica-index mirror and the
-// frozen root bitsets are all synchronized — so the cross-shard state is
-// serialized once, not per shard.
+// after the epoch exchange, when the shared replica index has absorbed every
+// shard's deltas and the frozen root bitsets are synchronized — so the
+// cross-shard state is serialized once, not per shard.
 //
 // Failure-plan state (failed sets, resolver status) is deliberately absent:
 // it is a deterministic function of the request index and is rebuilt by the
@@ -35,8 +35,9 @@ type StreamState struct {
 	// Shards holds each shard's private state, in shard (PoP) order.
 	Shards []ShardState
 	// Replicas is the replica index (per object, sorted ascending node ids),
-	// nil when the run's routing keeps none. All shards' mirrors are
-	// identical at a barrier, so one copy serves them all.
+	// nil when the run's routing keeps none. At a barrier the run's shared
+	// index is the whole truth (each shard's live own-PoP index equals its
+	// slice of it), so this one table restores them all.
 	Replicas [][]int32
 	// RootLive is the live PoP-root bitset state; rows are nil for PoPs
 	// whose root has no cache, and the slice is nil when no root has one.
@@ -154,8 +155,8 @@ func snapMetricState(s *snapshot) MetricState {
 }
 
 // freezeStream captures the run's full state at an epoch barrier. It must be
-// called right after exchange, when every shard's replica mirror is
-// identical, rootFrozen equals rootLive, and served counters are reconciled.
+// called right after exchange, when the shared replica index is current,
+// rootFrozen equals rootLive, and served counters are reconciled.
 func freezeStream(engines []*Engine, shared *shardShared, pos trace.StreamPos,
 	requests, epochLen int64, snaps []*snapshot) (*StreamState, error) {
 	st := &StreamState{
@@ -189,9 +190,8 @@ func freezeStream(engines []*Engine, shared *shardShared, pos trace.StreamPos,
 			sh.Caches = snap.AppendState(sh.Caches)
 		}
 	}
-	// Cross-shard state, serialized once: at a barrier every shard's mirror
-	// is identical, so shard 0's is canonical.
-	if ri := engines[0].replicas; ri != nil {
+	// Cross-shard state, serialized once.
+	if ri := shared.replicas; ri != nil {
 		st.Replicas = make([][]int32, len(ri.perObj))
 		for obj, row := range ri.perObj {
 			if len(row) == 0 {
@@ -260,13 +260,13 @@ func thawStream(engines []*Engine, shared *shardShared, st *StreamState) ([]*sna
 			return nil, fmt.Errorf("sim: shard %d has %d trailing cache-state bytes", i, len(data))
 		}
 	}
-	// Replica index: every shard gets its own deep copy of the shared rows
-	// (post-barrier they are identical mirrors).
-	if (st.Replicas != nil) != (engines[0].replicas != nil) {
+	// Replica index: one copy into the shared index, and each row's per-PoP
+	// runs into the owning shards' live indexes.
+	if (st.Replicas != nil) != (shared.replicas != nil) {
 		return nil, fmt.Errorf("sim: checkpoint replica index mismatches the config's routing")
 	}
 	if st.Replicas != nil {
-		if err := shapeCheck("Replicas", len(st.Replicas), len(engines[0].replicas.perObj)); err != nil {
+		if err := shapeCheck("Replicas", len(st.Replicas), len(shared.replicas.perObj)); err != nil {
 			return nil, err
 		}
 		for obj, row := range st.Replicas {
@@ -279,17 +279,17 @@ func thawStream(engines []*Engine, shared *shardShared, st *StreamState) ([]*sna
 				}
 			}
 		}
-		for _, e := range engines {
-			for obj, row := range st.Replicas {
-				if len(row) == 0 {
-					continue
-				}
-				nodes := make([]topo.NodeID, len(row))
-				for j, n := range row {
-					nodes[j] = topo.NodeID(n)
-				}
-				e.replicas.perObj[obj] = nodes
+		for obj, row := range st.Replicas {
+			if len(row) == 0 {
+				continue
 			}
+			nodes := make([]topo.NodeID, len(row))
+			for j, n := range row {
+				nodes[j] = topo.NodeID(n)
+				own := ownerOf(engines, nodes[j]).replicas
+				own.perObj[obj] = append(own.perObj[obj], nodes[j])
+			}
+			shared.replicas.perObj[obj] = nodes
 		}
 	}
 	if (st.RootLive != nil) != (shared.rootLive != nil) {

@@ -57,7 +57,7 @@ type remoteOp struct {
 }
 
 // riOp is one replica-index delta produced by a shard during an epoch,
-// replayed into every other shard's index mirror at the barrier.
+// applied once to the shared epoch-start index at the barrier.
 type riOp struct {
 	node topo.NodeID
 	obj  int32
@@ -81,15 +81,26 @@ type shardShared struct {
 	// puts no cache at any root (e.g. edge-only).
 	rootLive   [][]uint64
 	rootFrozen [][]uint64
+	// replicas is the one run-wide replica index, as of the last barrier
+	// (nil unless routing is nearest-replica). Shards read every PoP but
+	// their own from it; their own PoP's current state is Engine.replicas.
+	replicas *replicaIndex
+	// riApplied counts replica-index mutations performed at barriers. Each
+	// delta is applied exactly once, so it grows by Σ|riLog| per epoch — not
+	// P times that; tests gate on it.
+	riApplied int64
 }
 
-// engineShard is the per-shard half of the sharing state: which PoPs this
+// engineShard is the per-shard half of the sharing state: which PoP this
 // shard owns, plus its outgoing effect buffers.
 type engineShard struct {
 	shared *shardShared
-	ownPoP []bool
+	pop    int
 	ops    []remoteOp // effects on other shards' nodes, applied at the barrier
-	riLog  []riOp     // replica-index deltas to broadcast at the barrier
+	riLog  []riOp     // own-PoP replica-index deltas, merged into shared.replicas at the barrier
+	// servedDirty records that a capacity counter moved since the last
+	// barrier (a serve here, or a remote touch applied to a node here).
+	servedDirty bool
 }
 
 // pathHit reports whether the shortest-path walk can serve from node, and
@@ -162,8 +173,27 @@ func (e *Engine) cacheAt(n topo.NodeID) bool {
 	return e.caches[n] != nil || (e.sh != nil && e.sh.shared.hasCache[n])
 }
 
-// riAdd records obj appearing at node: immediately in this engine's index,
-// and (sharded) in the delta log other shards replay at the barrier.
+// nearestAcrossShards completes a shard's nearest-replica lookup. (node,
+// dist, found) is the answer from the shard's live own-PoP index (its own
+// changes, instantly); this merges in a scan of the shared epoch-start
+// index (everyone else's replicas as of the last barrier — its image of the
+// shard's own PoP is stale, and remoteOK filters it out). Together that is
+// exactly what a private full mirror fed by barrier broadcasts would hold,
+// without the P copies. The merge applies the (distance, NodeID) order
+// explicitly, so which index is consulted first cannot change a result.
+//
+//icn:noalloc
+func (e *Engine) nearestAcrossShards(pop int, leafLocal, obj int32, node topo.NodeID, dist int, found bool) (topo.NodeID, int, bool) {
+	n, d, ok := e.sh.shared.replicas.nearest(e.net, pop, leafLocal, obj, e.remoteOK)
+	if ok && (!found || d < dist || (d == dist && n < node)) {
+		return n, d, true
+	}
+	return node, dist, found
+}
+
+// riAdd records obj appearing at node: immediately in this engine's index
+// (sharded: the live index of its own PoP), and in the delta log the barrier
+// merges into the shared index the other shards read.
 //
 //icn:noalloc
 func (e *Engine) riAdd(obj int32, node topo.NodeID) {
@@ -458,9 +488,7 @@ func newShardedEngines(cfg Config) ([]*Engine, *shardShared, error) {
 	shared := &shardShared{hasCache: make([]bool, net.NodeCount())}
 	engines := make([]*Engine, pops)
 	for p := 0; p < pops; p++ {
-		own := make([]bool, pops)
-		own[p] = true
-		e, err := newEngine(cfg, &engineShard{shared: shared, ownPoP: own})
+		e, err := newEngine(cfg, &engineShard{shared: shared, pop: p})
 		if err != nil {
 			return nil, nil, err
 		}
@@ -472,6 +500,9 @@ func newShardedEngines(cfg Config) ([]*Engine, *shardShared, error) {
 	})
 	if shared.cacheNodes == nil {
 		shared.cacheNodes = []int32{}
+	}
+	if engines[0].replicas != nil {
+		shared.replicas = newReplicaIndex(cfg.Objects)
 	}
 	for _, e := range engines {
 		e.cacheNodes = shared.cacheNodes
@@ -566,13 +597,63 @@ func runEpoch(engines []*Engine, per [][]Request, workers int) {
 // buffered cross-shard effects in fixed shard order, so the merged state —
 // and therefore the whole run — is independent of worker scheduling.
 func exchange(engines []*Engine, shared *shardShared) {
-	// Phase 1: remote touches and inserts, applied by the owning engine.
-	// Inserts route through Engine.insert, so they feed the owner's replica
-	// index, riLog, and root bitset exactly like local inserts.
+	applyRemoteOps(engines)
+	// Merge every shard's own-PoP replica deltas into the shared index, once
+	// each. Afterwards the shared index restricted to a PoP equals that PoP's
+	// live index, which is the state checkpoints serialize.
+	if shared.replicas != nil {
+		for _, src := range engines {
+			for _, op := range src.sh.riLog {
+				if op.add {
+					shared.replicas.add(op.obj, op.node)
+				} else {
+					shared.replicas.remove(op.obj, op.node)
+				}
+				shared.riApplied++
+			}
+			src.sh.riLog = src.sh.riLog[:0]
+		}
+	}
+	// Freeze the root bitsets for the next epoch's remote hits.
+	for p, row := range shared.rootLive {
+		if row != nil {
+			copy(shared.rootFrozen[p], row)
+		}
+	}
+	// Reconcile capacity counters — the owner's count (its own serves plus
+	// every remote touch) is canonical. Counters only move when something is
+	// served from a cache, so an epoch without such serves skips the pass.
+	dirty := false
+	for _, e := range engines {
+		dirty = dirty || e.sh.servedDirty
+		e.sh.servedDirty = false
+	}
+	if dirty {
+		for _, n := range shared.cacheNodes {
+			v := ownerOf(engines, topo.NodeID(n)).served[n]
+			for _, e := range engines {
+				e.served[n] = v
+			}
+		}
+	}
+}
+
+// ownerOf returns the shard engine owning node: shards are one per PoP, in
+// PoP order.
+func ownerOf(engines []*Engine, node topo.NodeID) *Engine {
+	pop, _ := engines[0].net.Split(node)
+	return engines[pop]
+}
+
+// applyRemoteOps is the barrier's first phase: buffered touches and inserts
+// on other shards' nodes, applied by the owning engine. Inserts route
+// through Engine.insert, so they feed the owner's live replica index, riLog,
+// and root bitset exactly like local inserts.
+func applyRemoteOps(engines []*Engine) {
 	for _, src := range engines {
 		sh := src.sh
 		for _, op := range sh.ops {
-			owner := engines[op.node/topo.NodeID(engines[0].net.TreeSize())]
+			owner := ownerOf(engines, op.node)
 			if op.insert {
 				if owner.caches[op.node] != nil {
 					owner.insert(op.node, op.obj)
@@ -584,47 +665,10 @@ func exchange(engines []*Engine, shared *shardShared) {
 			}
 			if owner.served != nil {
 				owner.served[op.node]++
+				owner.sh.servedDirty = true
 			}
 		}
 		sh.ops = sh.ops[:0]
-	}
-	// Phase 2: broadcast replica-index deltas so every shard's mirror
-	// converges to the same index.
-	if engines[0].replicas != nil {
-		for si, src := range engines {
-			for di, dst := range engines {
-				if di == si {
-					continue
-				}
-				for _, op := range src.sh.riLog {
-					if op.add {
-						dst.replicas.add(op.obj, op.node)
-					} else {
-						dst.replicas.remove(op.obj, op.node)
-					}
-				}
-			}
-		}
-		for _, src := range engines {
-			src.sh.riLog = src.sh.riLog[:0]
-		}
-	}
-	// Phase 3: freeze the root bitsets for the next epoch's remote hits.
-	for p, row := range shared.rootLive {
-		if row != nil {
-			copy(shared.rootFrozen[p], row)
-		}
-	}
-	// Phase 4: reconcile capacity counters — the owner's count (its own
-	// serves plus every remote touch) is canonical.
-	if engines[0].served != nil {
-		for _, n := range shared.cacheNodes {
-			owner := engines[n/int32(engines[0].net.TreeSize())]
-			v := owner.served[n]
-			for _, e := range engines {
-				e.served[n] = v
-			}
-		}
 	}
 }
 
