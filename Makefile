@@ -48,8 +48,10 @@ race:
 # and run, without the minutes-long full benchmark pass. The first run also
 # gates the zero-alloc contract: BenchmarkServeRequest (observer disabled)
 # must stay under the ALLOC_GATE_AWK threshold; the Observed variant is
-# tracked but not gated. The last line runs ICN-NR through the sharded
-# streaming loop on Geant at 1 and 2 workers and re-checks Result equality.
+# tracked but not gated. BenchmarkShardedStream/ICN-NR runs ICN-NR through
+# the sharded streaming loop on Geant at 1 and 2 workers and re-checks Result
+# equality; BenchmarkProxyServeHit serves 1 KiB and 256 KiB proxy cache hits
+# (what a hit may allocate is gated by TestHitDoesNotTouchBody in `make test`).
 bench-smoke:
 	@out="$$($(GO) test ./internal/sim -run '^$$' -bench '^BenchmarkServeRequest$$' -benchtime 1000x -benchmem)" || { echo "$$out"; exit 1; }; \
 	echo "$$out"; \
@@ -57,6 +59,7 @@ bench-smoke:
 	$(GO) test ./internal/sim -run '^$$' -bench '^BenchmarkServeRequestObserved$$' -benchtime 1000x -benchmem
 	$(GO) test . -run '^$$' -bench 'BenchmarkFigure6Parallel' -benchtime 1x
 	$(GO) test . -run '^$$' -bench 'BenchmarkShardedStream/ICN-NR' -benchtime 1x
+	$(GO) test ./internal/idicn/proxy -run '^$$' -bench '^BenchmarkProxyServeHit$$' -benchtime 100x -benchmem
 
 # Apply the allocation gate to benchmark output piped on stdin. Exists so
 # the gate's exact threshold is testable (see alloc_gate_test.go) and

@@ -22,6 +22,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"net/http/pprof"
 	"os"
 	"os/signal"
 	"strings"
@@ -187,6 +188,13 @@ func newStack(listen func(http.Handler) (string, error), logW io.Writer, plan *f
 	debugMux.Handle("/debug/metrics", metrics.Handler())
 	debugMux.Handle("/healthz", drainer.Healthz())
 	debugMux.Handle("/readyz", drainer.Readyz())
+	// Profiles of the running daemon (go tool pprof <debug>/debug/pprof/profile):
+	// on this listener only, which run binds to loopback.
+	debugMux.HandleFunc("/debug/pprof/", pprof.Index)
+	debugMux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	debugMux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	debugMux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	debugMux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	debugURL, err := listen(debugMux)
 	if err != nil {
 		return nil, err

@@ -118,7 +118,10 @@ func TestStackDebugMetrics(t *testing.T) {
 		}
 	}
 
-	for path, want := range map[string]int{"/healthz": http.StatusOK, "/readyz": http.StatusOK} {
+	for path, want := range map[string]int{
+		"/healthz": http.StatusOK, "/readyz": http.StatusOK,
+		"/debug/pprof/": http.StatusOK, "/debug/pprof/heap?debug=1": http.StatusOK, "/debug/pprof/cmdline": http.StatusOK,
+	} {
 		resp, err := http.Get(st.debugURL + path)
 		if err != nil {
 			t.Fatal(err)

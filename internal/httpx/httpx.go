@@ -7,12 +7,19 @@
 // Server couples the hardened http.Server with its listener and a shutdown
 // handle, so the overload layer's graceful drain (stop accepting, finish
 // in-flight requests within a bound, exit) has something to hold on to.
+//
+// ServeBytes is the one response helper here: http.ServeContent for a body
+// already in memory, shared by the edge proxy's hit path and the origin.
 package httpx
 
 import (
+	"bytes"
 	"context"
+	"mime"
 	"net"
 	"net/http"
+	"path/filepath"
+	"strconv"
 	"time"
 )
 
@@ -76,3 +83,58 @@ func (s *Server) Shutdown(ctx context.Context) error {
 
 // Close abruptly closes the listener and all active connections.
 func (s *Server) Close() error { return s.srv.Close() }
+
+// conditionalHeaders are the request headers that make http.ServeContent do
+// anything other than send the whole body with status 200.
+var conditionalHeaders = [...]string{
+	"Range", "If-Range", "If-Match", "If-None-Match", "If-Modified-Since", "If-Unmodified-Since",
+}
+
+// ServeBytes replies to the request with an in-memory body, as
+// http.ServeContent(w, r, name, modtime, bytes.NewReader(body)) would. A
+// plain GET — no Range, no If-* precondition — gets the same status and
+// headers (Last-Modified, Content-Type by extension or sniffing unless
+// already set, Accept-Ranges, Content-Length) and the body in one Write,
+// instead of ServeContent's copy through a 32 KiB staging buffer: on a
+// cache hit that copy loop is most of what is left of the cost. Everything
+// else (HEAD, ranges, preconditions) is handed to http.ServeContent
+// unchanged. body must not be modified until ServeBytes returns.
+func ServeBytes(w http.ResponseWriter, r *http.Request, name string, modtime time.Time, body []byte) {
+	if !plainGet(r) {
+		http.ServeContent(w, r, name, modtime, bytes.NewReader(body))
+		return
+	}
+	h := w.Header()
+	if !modtime.IsZero() && !modtime.Equal(time.Unix(0, 0)) {
+		h.Set("Last-Modified", modtime.UTC().Format(http.TimeFormat))
+	}
+	if _, have := h["Content-Type"]; !have {
+		ctype := mime.TypeByExtension(filepath.Ext(name))
+		if ctype == "" {
+			ctype = http.DetectContentType(body) // looks at no more than 512 bytes
+		}
+		h.Set("Content-Type", ctype)
+	}
+	h.Set("Accept-Ranges", "bytes")
+	if h.Get("Content-Encoding") == "" {
+		h.Set("Content-Length", strconv.Itoa(len(body)))
+	}
+	w.WriteHeader(http.StatusOK)
+	// A write error means the client went away; it sees that itself, and
+	// ServeContent drops the same error.
+	_, _ = w.Write(body)
+}
+
+// plainGet reports whether r asks for the whole representation,
+// unconditionally.
+func plainGet(r *http.Request) bool {
+	if r.Method != http.MethodGet {
+		return false
+	}
+	for _, k := range conditionalHeaders {
+		if r.Header.Get(k) != "" {
+			return false
+		}
+	}
+	return true
+}

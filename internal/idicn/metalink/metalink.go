@@ -9,6 +9,7 @@ package metalink
 import (
 	"crypto/ed25519"
 	"crypto/sha256"
+	"crypto/subtle"
 	"encoding/base64"
 	"encoding/hex"
 	"encoding/xml"
@@ -74,14 +75,19 @@ type MirrorURL struct {
 // BuildFile assembles the metadata for signed content published under a
 // name: SHA-256 digest, Ed25519 signature, the publisher key, and mirrors.
 func BuildFile(n names.Name, pub ed25519.PublicKey, content, sig []byte, mirrors []string) File {
-	digest := sha256.Sum256(content)
+	return buildFile(n, pub, sha256.Sum256(content), int64(len(content)), sig, mirrors)
+}
+
+// buildFile is BuildFile for content whose digest and size are already
+// known.
+func buildFile(n names.Name, pub ed25519.PublicKey, digest [sha256.Size]byte, size int64, sig []byte, mirrors []string) File {
 	urls := make([]MirrorURL, 0, len(mirrors))
 	for i, m := range mirrors {
 		urls = append(urls, MirrorURL{Priority: i + 1, Location: m})
 	}
 	return File{
 		Name: n.String(),
-		Size: int64(len(content)),
+		Size: size,
 		Hashes: []Hash{
 			{Type: "sha-256", Value: hex.EncodeToString(digest[:])},
 		},
@@ -141,6 +147,18 @@ type Verified struct {
 	PublicKey ed25519.PublicKey
 	Signature []byte
 	Mirrors   []string
+	// Digest is the SHA-256 of the verified body, computed once by
+	// VerifyResponse and the value both of its body checks ran against.
+	Digest [sha256.Size]byte
+	// Size is the length of the verified body in bytes.
+	Size int64
+}
+
+// File is BuildFile for the body this metadata was verified against,
+// without hashing it again: the result equals BuildFile(v.Name,
+// v.PublicKey, body, v.Signature, v.Mirrors).
+func (v Verified) File() File {
+	return buildFile(v.Name, v.PublicKey, v.Digest, v.Size, v.Signature, v.Mirrors)
 }
 
 // Errors from header verification.
@@ -151,7 +169,8 @@ var (
 
 // VerifyResponse parses idICN metadata from response headers and runs the
 // full self-certification check against the body: digest, key-to-name
-// binding, and content signature. It returns the parsed identity on
+// binding, and content signature. The body is hashed once, with or without
+// a Digest header. It returns the parsed identity and that digest on
 // success.
 func VerifyResponse(h http.Header, body []byte) (Verified, error) {
 	nameHdr := h.Get(HeaderName)
@@ -175,18 +194,19 @@ func VerifyResponse(h http.Header, body []byte) (Verified, error) {
 	if len(pubRaw) != ed25519.PublicKeySize {
 		return Verified{}, fmt.Errorf("metalink: publisher key has %d bytes", len(pubRaw))
 	}
+	// The one pass over the body: both checks below run against this digest.
+	digest := sha256.Sum256(body)
 	if d := h.Get(HeaderDigest); d != "" {
 		want, err := decodeTyped(d, "SHA-256")
 		if err != nil {
 			return Verified{}, fmt.Errorf("metalink: bad digest header: %w", err)
 		}
-		got := sha256.Sum256(body)
-		if len(want) != len(got) || !equalBytes(want, got[:]) {
+		if subtle.ConstantTimeCompare(want, digest[:]) != 1 {
 			return Verified{}, ErrDigestMismatch
 		}
 	}
 	pub := ed25519.PublicKey(pubRaw)
-	if err := names.VerifyContent(n, pub, body, sig); err != nil {
+	if err := names.VerifyDigest(n, pub, digest, sig); err != nil {
 		return Verified{}, err
 	}
 	return Verified{
@@ -194,6 +214,8 @@ func VerifyResponse(h http.Header, body []byte) (Verified, error) {
 		PublicKey: pub,
 		Signature: sig,
 		Mirrors:   ParseMirrors(h),
+		Digest:    digest,
+		Size:      int64(len(body)),
 	}, nil
 }
 
@@ -231,15 +253,4 @@ func decodeTyped(v, wantType string) ([]byte, error) {
 		return nil, err
 	}
 	return raw, nil
-}
-
-func equalBytes(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	var diff byte
-	for i := range a {
-		diff |= a[i] ^ b[i]
-	}
-	return diff == 0
 }

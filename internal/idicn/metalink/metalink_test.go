@@ -2,7 +2,9 @@ package metalink
 
 import (
 	"crypto/ed25519"
+	"crypto/sha256"
 	"net/http"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -121,20 +123,66 @@ func TestVerifyResponseRejectsTampering(t *testing.T) {
 		t.Errorf("substituted key: err = %v, want ErrKeyMismatch", err)
 	}
 
-	// Corrupt digest header.
-	h4 := make(http.Header)
-	SetHeaders(h4, f)
-	h4.Set(HeaderDigest, "SHA-256=AAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAA=")
-	if _, err := VerifyResponse(h4, content); err != ErrDigestMismatch {
-		t.Errorf("bad digest: err = %v, want ErrDigestMismatch", err)
-	}
-
 	// Malformed base64 in publisher.
 	h5 := make(http.Header)
 	SetHeaders(h5, f)
 	h5.Set(HeaderPublisher, "ed25519=!!!notbase64")
 	if _, err := VerifyResponse(h5, content); err == nil {
 		t.Error("malformed publisher accepted")
+	}
+}
+
+// TestVerifyResponseChecks pins that hashing the body once did not fold two
+// checks into one: the digest header and the signature are each still
+// compared against the body that actually arrived.
+func TestVerifyResponseChecks(t *testing.T) {
+	p, n, content, sig := testSetup(t)
+	headers := func(f File) http.Header {
+		h := make(http.Header)
+		SetHeaders(h, f)
+		return h
+	}
+	tampered := append([]byte("x"), content...)
+	other, err := p.Name("farewell")
+	if err != nil {
+		t.Fatal(err)
+	}
+	noDigest := headers(BuildFile(n, p.PublicKey(), content, sig, nil))
+	noDigest.Del(HeaderDigest)
+	wrongDigest := headers(BuildFile(n, p.PublicKey(), content, sig, nil))
+	wrongDigest.Set(HeaderDigest, "SHA-256=AAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAA=")
+
+	for _, tc := range []struct {
+		name string
+		h    http.Header
+		body []byte
+		want error
+	}{
+		// BuildFile over the tampered bytes recomputes a matching Digest
+		// header; only the signature can tell.
+		{"body tampered, digest header recomputed", headers(BuildFile(n, p.PublicKey(), tampered, sig, nil)), tampered, names.ErrBadSignature},
+		{"digest header wrong, body and signature right", wrongDigest, content, ErrDigestMismatch},
+		// Same key, same bytes, same signature, but claimed under another
+		// label: the signature binds the label.
+		{"valid response relabelled under the same key", headers(BuildFile(other, p.PublicKey(), content, sig, nil)), content, names.ErrBadSignature},
+		{"no digest header", noDigest, content, nil},
+		{"no digest header, body tampered", noDigest, tampered, names.ErrBadSignature},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			v, err := VerifyResponse(tc.h, tc.body)
+			if err != tc.want {
+				t.Fatalf("err = %v, want %v", err, tc.want)
+			}
+			if err != nil {
+				return
+			}
+			if v.Digest != sha256.Sum256(tc.body) || v.Size != int64(len(tc.body)) {
+				t.Errorf("Digest/Size = %x/%d, want those of the body", v.Digest, v.Size)
+			}
+			if got, want := v.File(), BuildFile(n, p.PublicKey(), tc.body, sig, nil); !reflect.DeepEqual(got, want) {
+				t.Errorf("Verified.File() = %+v, want BuildFile's %+v", got, want)
+			}
+		})
 	}
 }
 

@@ -135,8 +135,7 @@ func Parse(s string) (Name, error) {
 
 // contentPayload is the canonical byte string signed to bind content to a
 // name: a domain-separation tag, the label, and the content digest.
-func contentPayload(label string, content []byte) []byte {
-	digest := sha256.Sum256(content)
+func contentPayload(label string, digest [sha256.Size]byte) []byte {
 	payload := make([]byte, 0, 64+len(label))
 	payload = append(payload, "idicn content v1\n"...)
 	payload = append(payload, label...)
@@ -149,13 +148,21 @@ func contentPayload(label string, content []byte) []byte {
 // claimed to carry name n: the public key must hash to n.Key, and sig must
 // be a valid signature by that key over the (label, content) binding.
 func VerifyContent(n Name, pub ed25519.PublicKey, content, sig []byte) error {
+	return VerifyDigest(n, pub, sha256.Sum256(content), sig)
+}
+
+// VerifyDigest is VerifyContent for a caller that already holds the
+// content's SHA-256 digest, so a body checked against a Digest header and
+// against its signature is hashed once. The caller vouches that digest was
+// computed over the bytes it is about to trust.
+func VerifyDigest(n Name, pub ed25519.PublicKey, digest [sha256.Size]byte, sig []byte) error {
 	if len(pub) != ed25519.PublicKeySize {
 		return fmt.Errorf("names: bad public key length %d", len(pub))
 	}
 	if !n.Key.Matches(pub) {
 		return ErrKeyMismatch
 	}
-	if !ed25519.Verify(pub, contentPayload(n.Label, content), sig) {
+	if !ed25519.Verify(pub, contentPayload(n.Label, digest), sig) {
 		return ErrBadSignature
 	}
 	return nil
@@ -202,7 +209,7 @@ func (p *Principal) Name(label string) (Name, error) {
 // SignContent produces the signature binding content to the label under
 // this publisher's key.
 func (p *Principal) SignContent(label string, content []byte) []byte {
-	return ed25519.Sign(p.priv, contentPayload(label, content))
+	return ed25519.Sign(p.priv, contentPayload(label, sha256.Sum256(content)))
 }
 
 // Sign signs an arbitrary payload (used by the resolver's registration

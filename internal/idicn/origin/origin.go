@@ -7,7 +7,6 @@
 package origin
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -19,6 +18,7 @@ import (
 	"time"
 
 	"idicn/internal/cache"
+	"idicn/internal/httpx"
 	"idicn/internal/idicn/metalink"
 	"idicn/internal/idicn/names"
 	"idicn/internal/idicn/resilience"
@@ -199,8 +199,8 @@ func (s *Server) OriginHits() int64 {
 //	GET /metalink/<label>         the Metalink XML description
 //	GET /labels                   newline-separated published labels
 //
-// Range requests are honored (http.ServeContent), which the mobility layer
-// relies on for resumption.
+// Range requests are honored (httpx.ServeBytes hands them to
+// http.ServeContent), which the mobility layer relies on for resumption.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case strings.HasPrefix(r.URL.Path, "/content/"):
@@ -247,7 +247,7 @@ func (s *Server) serveContent(w http.ResponseWriter, r *http.Request, label stri
 	if o.ContentType != "" {
 		w.Header().Set("Content-Type", o.ContentType)
 	}
-	http.ServeContent(w, r, label, o.Published, bytes.NewReader(o.Body))
+	httpx.ServeBytes(w, r, label, o.Published, o.Body)
 }
 
 func (s *Server) serveMetalink(w http.ResponseWriter, r *http.Request, label string) {

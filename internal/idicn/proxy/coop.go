@@ -3,11 +3,9 @@ package proxy
 import (
 	"context"
 	"fmt"
-	"io"
 	"net/http"
 	"strings"
 
-	"idicn/internal/idicn/metalink"
 	"idicn/internal/idicn/names"
 )
 
@@ -63,24 +61,12 @@ func (p *Proxy) lookupPeers(ctx context.Context, n names.Name) *CachedObject {
 		if err != nil {
 			continue
 		}
-		body, readErr := io.ReadAll(io.LimitReader(resp.Body, 1<<28))
-		_ = resp.Body.Close() // best-effort: the read result decides below
-		if resp.StatusCode != http.StatusOK || readErr != nil {
-			continue
-		}
-		v, err := metalink.VerifyResponse(resp.Header, body)
-		if err != nil || v.Name != n {
-			p.rejected.Add(1)
+		obj, err := p.accept(n, peer, resp)
+		if err != nil {
 			continue
 		}
 		p.peerHits.Add(1)
-		return &CachedObject{
-			Name:        n,
-			ContentType: resp.Header.Get("Content-Type"),
-			Body:        body,
-			Meta:        v,
-			Fetched:     p.clock(),
-		}
+		return obj
 	}
 	return nil
 }
@@ -95,10 +81,7 @@ func (p *Proxy) serveCoopLookup(w http.ResponseWriter, n names.Name) {
 		return
 	}
 	p.peerServed.Add(1)
-	metalink.SetHeaders(w.Header(), metalink.BuildFile(obj.Name, obj.Meta.PublicKey, obj.Body, obj.Meta.Signature, obj.Meta.Mirrors))
-	if obj.ContentType != "" {
-		w.Header().Set("Content-Type", obj.ContentType)
-	}
+	obj.setHeaders(w.Header())
 	w.Header().Set("X-Cache", "PEER")
 	_, _ = w.Write(obj.Body) // a disconnected peer is its problem, not ours
 }

@@ -1,6 +1,7 @@
 package proxy
 
 import (
+	"bytes"
 	"context"
 	"crypto/ed25519"
 	"encoding/base64"
@@ -55,7 +56,7 @@ func TestCoopServesFromSibling(t *testing.T) {
 	if fromCache {
 		t.Error("reported cache hit on first fetch")
 	}
-	if string(obj.Body) != string(body) {
+	if !bytes.Equal(obj.Body, body) {
 		t.Fatalf("body = %q", obj.Body)
 	}
 	if s.org.OriginHits() != originBefore {
@@ -87,7 +88,7 @@ func TestCoopFallsThroughToOrigin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(obj.Body) != "cold" {
+	if !bytes.Equal(obj.Body, []byte("cold")) {
 		t.Fatalf("body = %q", obj.Body)
 	}
 	cs := s.proxy.CoopStats()
@@ -145,7 +146,7 @@ func TestCoopResponseIsVerified(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(obj.Body) != "authentic" {
+	if !bytes.Equal(obj.Body, body) {
 		t.Fatalf("served %q; cache poisoned by evil sibling", obj.Body)
 	}
 	if st := s.proxy.Stats(); st.Rejected != 1 {

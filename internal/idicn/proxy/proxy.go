@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"idicn/internal/cache"
+	"idicn/internal/httpx"
 	"idicn/internal/idicn/metalink"
 	"idicn/internal/idicn/names"
 	"idicn/internal/idicn/resilience"
@@ -34,13 +35,24 @@ type Resolver interface {
 	Resolve(ctx context.Context, name string) (resolver.Result, error)
 }
 
-// CachedObject is a verified content object held by the proxy.
+// CachedObject is a verified content object held by the proxy, ready to
+// send: everything derived from the body was computed once, when the object
+// was verified on its way in (see accept), and a hit only reads it.
+//
+// An entry is immutable after insert. Body, Meta and File are shared,
+// without copying, by every concurrent response that serves the entry and
+// by every caller of Get; none of them may write through these fields.
 type CachedObject struct {
 	Name        names.Name
 	ContentType string
 	Body        []byte
-	Meta        metalink.Verified
-	Fetched     time.Time
+	// Meta is the identity VerifyResponse checked Body against, including
+	// the body's SHA-256.
+	Meta metalink.Verified
+	// File is the metadata SetHeaders renders on every response for this
+	// object, built from Meta at insert.
+	File    metalink.File
+	Fetched time.Time
 }
 
 // Stats counts proxy outcomes.
@@ -214,16 +226,10 @@ func (p *Proxy) serveName(w http.ResponseWriter, r *http.Request, host string) {
 		if errors.Is(err, resolver.ErrNotFound) {
 			status = http.StatusNotFound
 		}
-		if errors.Is(err, ErrVerification) {
-			status = http.StatusBadGateway
-		}
 		http.Error(w, err.Error(), status)
 		return
 	}
-	metalink.SetHeaders(w.Header(), metalink.BuildFile(obj.Name, obj.Meta.PublicKey, obj.Body, obj.Meta.Signature, obj.Meta.Mirrors))
-	if obj.ContentType != "" {
-		w.Header().Set("Content-Type", obj.ContentType)
-	}
+	obj.setHeaders(w.Header())
 	switch src {
 	case srcHit:
 		w.Header().Set("X-Cache", "HIT")
@@ -234,7 +240,16 @@ func (p *Proxy) serveName(w http.ResponseWriter, r *http.Request, host string) {
 	default:
 		w.Header().Set("X-Cache", "MISS")
 	}
-	http.ServeContent(w, r, obj.Name.Label, obj.Fetched, strings.NewReader(string(obj.Body)))
+	httpx.ServeBytes(w, r, obj.Name.Label, obj.Fetched, obj.Body)
+}
+
+// setHeaders writes the object's stored metadata and content type into a
+// response header.
+func (o *CachedObject) setHeaders(h http.Header) {
+	metalink.SetHeaders(h, o.File)
+	if o.ContentType != "" {
+		h.Set("Content-Type", o.ContentType)
+	}
 }
 
 // source says how an object was obtained, for X-Cache headers and metrics.
@@ -453,28 +468,66 @@ func (p *Proxy) fetchVerified(ctx context.Context, n names.Name, loc string) (*C
 	if err != nil {
 		return nil, fmt.Errorf("proxy: fetching %s: %w", loc, err)
 	}
+	return p.accept(n, loc, resp)
+}
+
+// Upstream bodies are read up to maxObjectBytes; anything longer is cut off
+// there and fails verification. A declared Content-Length is trusted for a
+// single exact-size allocation only up to maxPreallocBytes, so an upstream
+// that announces a huge body and then stalls cannot make the proxy commit
+// memory for bytes it never sends; longer bodies grow as they arrive.
+const (
+	maxObjectBytes   = 1 << 28
+	maxPreallocBytes = 1 << 24
+)
+
+// readBody reads an upstream response body. When the length is declared,
+// the buffer is allocated once at exactly that size — the cache keeps it
+// for the entry's lifetime, and io.ReadAll's doubling would leave up to a
+// quarter of it as unused capacity.
+func readBody(resp *http.Response) ([]byte, error) {
+	if n := resp.ContentLength; n >= 0 && n <= maxPreallocBytes {
+		body := make([]byte, n)
+		if _, err := io.ReadFull(resp.Body, body); err != nil {
+			return nil, err
+		}
+		return body, nil
+	}
+	return io.ReadAll(io.LimitReader(resp.Body, maxObjectBytes))
+}
+
+// accept is the one way into the cache: it consumes the response that loc
+// (origin, mirror or sibling proxy) gave for n, runs the full
+// self-certification check — which hashes the body, once — and builds the
+// ready-to-send entry from the digest that check returns. A response that
+// fails verification, or verifies for a different name, is counted in
+// Stats.Rejected; one that is not a 200 or cannot be read is not.
+func (p *Proxy) accept(n names.Name, loc string, resp *http.Response) (*CachedObject, error) {
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
+		// A sibling's "not cached" is the usual answer to a scoped lookup:
+		// read the short error text so the connection goes back to the pool.
+		_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 4<<10))
 		return nil, fmt.Errorf("proxy: fetching %s: status %s", loc, resp.Status)
 	}
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 1<<28))
+	body, err := readBody(resp)
 	if err != nil {
 		return nil, fmt.Errorf("proxy: reading %s: %w", loc, err)
 	}
 	v, err := metalink.VerifyResponse(resp.Header, body)
+	if err == nil && v.Name != n {
+		err = fmt.Errorf("response is for %s, requested %s", v.Name, n)
+	}
 	if err != nil {
 		p.rejected.Add(1)
 		return nil, fmt.Errorf("%w: %v", ErrVerification, err)
-	}
-	if v.Name != n {
-		p.rejected.Add(1)
-		return nil, fmt.Errorf("%w: response is for %s, requested %s", ErrVerification, v.Name, n)
 	}
 	return &CachedObject{
 		Name:        n,
 		ContentType: resp.Header.Get("Content-Type"),
 		Body:        body,
 		Meta:        v,
+		File:        v.File(),
 		Fetched:     p.clock(),
 	}, nil
 }

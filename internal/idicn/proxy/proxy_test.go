@@ -1,9 +1,11 @@
 package proxy
 
 import (
+	"bytes"
 	"context"
 	"crypto/ed25519"
 	"encoding/base64"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -25,7 +27,7 @@ type stack struct {
 	proxySrv *httptest.Server
 }
 
-func newStack(t *testing.T) *stack {
+func newStack(t testing.TB) *stack {
 	t.Helper()
 	registry := resolver.NewRegistry()
 	resSrv := httptest.NewServer(resolver.NewServer(registry))
@@ -106,40 +108,55 @@ func TestEndToEndNamedFetch(t *testing.T) {
 }
 
 func TestProxyRejectsTamperedContent(t *testing.T) {
-	registry := resolver.NewRegistry()
-	resSrv := httptest.NewServer(resolver.NewServer(registry))
-	defer resSrv.Close()
-
 	seed := make([]byte, ed25519.SeedSize)
 	seed[0] = 43
 	p, _ := names.PrincipalFromSeed(seed)
 	n, _ := p.Name("evil")
+	other, _ := p.Name("other")
 
-	// A malicious "origin" serves tampered bytes with a stale signature.
-	sig := p.SignContent("evil", []byte("genuine"))
-	evil := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		h := w.Header()
-		h.Set("X-Idicn-Name", n.String())
-		h.Set("X-Idicn-Signature", "ed25519="+b64(sig))
-		h.Set("X-Idicn-Publisher", "ed25519="+b64(p.PublicKey()))
-		io.WriteString(w, "tampered")
-	}))
-	defer evil.Close()
+	for _, tc := range []struct {
+		name string
+		// What the malicious "origin" registered for n answers with.
+		claims names.Name
+		signed string
+		body   string
+	}{
+		{"tampered bytes under a stale signature", n, "genuine", "tampered"},
+		// Self-consistent and correctly signed, so it verifies — as a
+		// different object of the same publisher than the one asked for.
+		{"valid object for another label", other, "genuine", "genuine"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			registry := resolver.NewRegistry()
+			resSrv := httptest.NewServer(resolver.NewServer(registry))
+			defer resSrv.Close()
 
-	reg, _ := resolver.NewRegistration(p, "evil", 1, []string{evil.URL})
-	if err := registry.Register(context.Background(), reg); err != nil {
-		t.Fatal(err)
-	}
+			sig := p.SignContent(tc.claims.Label, []byte(tc.signed))
+			evil := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				h := w.Header()
+				h.Set("X-Idicn-Name", tc.claims.String())
+				h.Set("X-Idicn-Signature", "ed25519="+b64(sig))
+				h.Set("X-Idicn-Publisher", "ed25519="+b64(p.PublicKey()))
+				io.WriteString(w, tc.body)
+			}))
+			defer evil.Close()
 
-	px := New(resolver.NewClient(resSrv.URL, resSrv.Client()))
-	if _, _, err := px.Get(context.Background(), n); err == nil {
-		t.Fatal("tampered content accepted")
-	}
-	if st := px.Stats(); st.Rejected != 1 {
-		t.Errorf("stats = %+v, want 1 rejection", st)
-	}
-	if px.CacheLen() != 0 {
-		t.Error("tampered content was cached")
+			reg, _ := resolver.NewRegistration(p, "evil", 1, []string{evil.URL})
+			if err := registry.Register(context.Background(), reg); err != nil {
+				t.Fatal(err)
+			}
+
+			px := New(resolver.NewClient(resSrv.URL, resSrv.Client()))
+			if _, _, err := px.Get(context.Background(), n); !errors.Is(err, ErrVerification) {
+				t.Fatalf("err = %v, want ErrVerification", err)
+			}
+			if st := px.Stats(); st.Rejected != 1 {
+				t.Errorf("stats = %+v, want 1 rejection", st)
+			}
+			if px.CacheLen() != 0 {
+				t.Error("rejected content was cached")
+			}
+		})
 	}
 }
 
@@ -178,7 +195,7 @@ func TestProxyFailsOverToMirror(t *testing.T) {
 	if err != nil {
 		t.Fatalf("mirror failover failed: %v", err)
 	}
-	if fromCache || string(obj.Body) != "mirrored" {
+	if fromCache || !bytes.Equal(obj.Body, body) {
 		t.Errorf("obj = %+v fromCache=%v", obj, fromCache)
 	}
 }
@@ -295,7 +312,7 @@ func TestTTLExpiryRefetches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fromCache || string(obj.Body) != "v2" {
+	if fromCache || !bytes.Equal(obj.Body, []byte("v2")) {
 		t.Errorf("after TTL: fromCache=%v body=%q", fromCache, obj.Body)
 	}
 }
