@@ -52,11 +52,14 @@ race:
 # the sharded streaming loop on Geant at 1 and 2 workers and re-checks Result
 # equality; BenchmarkProxyServeHit serves 1 KiB and 256 KiB proxy cache hits
 # (what a hit may allocate is gated by TestHitDoesNotTouchBody in `make test`).
+# BenchmarkNearestReplicaLookup and BenchmarkRunICNNRAbilene keep the ICN-NR
+# lookup's own rulers (by replica-set size; one whole unsharded run) running.
 bench-smoke:
 	@out="$$($(GO) test ./internal/sim -run '^$$' -bench '^BenchmarkServeRequest$$' -benchtime 1000x -benchmem)" || { echo "$$out"; exit 1; }; \
 	echo "$$out"; \
 	echo "$$out" | awk '$(ALLOC_GATE_AWK)'
 	$(GO) test ./internal/sim -run '^$$' -bench '^BenchmarkServeRequestObserved$$' -benchtime 1000x -benchmem
+	$(GO) test ./internal/sim -run '^$$' -bench '^(BenchmarkNearestReplicaLookup|BenchmarkRunICNNRAbilene)$$' -benchtime 1x
 	$(GO) test . -run '^$$' -bench 'BenchmarkFigure6Parallel' -benchtime 1x
 	$(GO) test . -run '^$$' -bench 'BenchmarkShardedStream/ICN-NR' -benchtime 1x
 	$(GO) test ./internal/idicn/proxy -run '^$$' -bench '^BenchmarkProxyServeHit$$' -benchtime 100x -benchmem

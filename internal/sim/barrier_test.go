@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
+	"sync"
 	"testing"
 
 	"idicn/internal/topo"
@@ -179,14 +180,26 @@ func (m *mirrorModel) barrier() {
 // nearest is the obviously-correct selection: every admissible replica in
 // the asking shard's mirror, ordered by (distance, NodeID).
 func (m *mirrorModel) nearest(shard int, leafLocal, obj int32, ok func(topo.NodeID) bool) (topo.NodeID, int, bool) {
+	var nodes []topo.NodeID
+	for n := range m.mirrors[shard][obj] {
+		nodes = append(nodes, n)
+	}
+	return scanNearest(m.net, shard, leafLocal, nodes, ok)
+}
+
+// scanNearest is the reference every lookup is compared against: it computes
+// the distance to every admissible node with Network.Dist, sorts by
+// (distance, NodeID) and takes the head. It knows nothing about PoP groups,
+// breadth-first numbering, or the order of its input.
+func scanNearest(net *topo.Network, pop int, leafLocal int32, nodes []topo.NodeID, ok func(topo.NodeID) bool) (topo.NodeID, int, bool) {
 	type cand struct {
 		d int
 		n topo.NodeID
 	}
 	var cands []cand
-	for n := range m.mirrors[shard][obj] {
+	for _, n := range nodes {
 		if ok(n) {
-			cands = append(cands, cand{m.net.Dist(m.net.Node(shard, leafLocal), n), n})
+			cands = append(cands, cand{net.Dist(net.Node(pop, leafLocal), n), n})
 		}
 	}
 	if len(cands) == 0 {
@@ -256,7 +269,7 @@ func (h *diffHarness) setFilter(n topo.NodeID, failed, overloaded bool) {
 // shardNearest is a shard's whole nearest-replica lookup, composed exactly
 // as serveNearestReplica composes it.
 func shardNearest(e *Engine, pop int, leafLocal, obj int32) (topo.NodeID, int, bool) {
-	node, dist, found := e.replicas.nearest(e.net, pop, leafLocal, obj, e.nearestOK)
+	node, dist, found := e.replicas.nearest(e.net, pop, leafLocal, obj, e.nearestOK, false)
 	return e.nearestAcrossShards(pop, leafLocal, obj, node, dist, found)
 }
 
@@ -346,11 +359,12 @@ func TestNearestMatchesFullMirrorScenarios(t *testing.T) {
 // reference.
 func TestNearestMatchesFullMirrorRandom(t *testing.T) {
 	for _, tc := range []struct {
-		name string
-		tp   *topo.Topology
-	}{{"line", linePoPs(6)}, {"Abilene", topo.Abilene()}} {
+		name         string
+		tp           *topo.Topology
+		arity, depth int
+	}{{"line", linePoPs(6), 2, 2}, {"Abilene", topo.Abilene(), 2, 2}, {"Geant", topo.Geant(), 3, 2}} {
 		t.Run(tc.name, func(t *testing.T) {
-			net := topo.NewNetwork(tc.tp, 2, 2)
+			net := topo.NewNetwork(tc.tp, tc.arity, tc.depth)
 			const objects = 6
 			for seed := int64(1); seed <= 8; seed++ {
 				h := newDiffHarness(t, net, objects)
@@ -515,5 +529,142 @@ func TestCapacityCountersAgreeAfterEveryBarrier(t *testing.T) {
 				t.Fatalf("%d barriers reconciled, %d skipped: the workload must exercise both", reconciled, skipped)
 			}
 		})
+	}
+}
+
+// nearestNets are the networks the direct lookup tests run on: a line, where
+// PoP pairs at equal distance are everywhere; a backbone with wide shallow
+// trees; and one with deep trees (31 routers per PoP), whose groups are long
+// enough to be worth stepping over.
+var nearestNets = sync.OnceValue(func() []*topo.Network {
+	return []*topo.Network{
+		topo.NewNetwork(linePoPs(6), 2, 2),
+		topo.NewNetwork(topo.Abilene(), 3, 2),
+		topo.NewNetwork(topo.Geant(), 2, 4),
+	}
+})
+
+// nearestWorkBound is how often a lookup over row may consult its filter
+// when nothing is inadmissible: once per remote PoP group, plus every
+// replica in the requester's own group.
+func nearestWorkBound(net *topo.Network, row []topo.NodeID, pop int, skipOwn bool) int {
+	bound, last := 0, -1
+	for _, n := range row {
+		q, _ := net.Split(n)
+		if q == pop && !skipOwn {
+			bound++
+		} else if q != pop && q != last {
+			bound++
+		}
+		last = q
+	}
+	return bound
+}
+
+// checkNearestCase decodes one lookup from bytes — network, requester leaf,
+// mode bits (skip the own PoP / everything admissible / nil filter), then
+// (node, verdict) triples — and compares replicaIndex.nearest against
+// scanNearest over the same set. With everything admissible it also gates
+// the work: the filter is consulted at most nearestWorkBound times.
+func checkNearestCase(t testing.TB, data []byte) {
+	t.Helper()
+	if len(data) < 4 {
+		return
+	}
+	nets := nearestNets()
+	net := nets[int(data[0])%len(nets)]
+	pop := int(data[1]) % net.PoPs()
+	leafLocal := net.LeafStart() + int32(int(data[2])%net.LeavesPerTree())
+	skipOwn, allOK, nilFilter := data[3]&1 != 0, data[3]&2 != 0, data[3]&4 != 0
+	ri := newReplicaIndex(1)
+	rejected := map[topo.NodeID]bool{}
+	for d := data[4:]; len(d) >= 3; d = d[3:] {
+		n := topo.NodeID((int(d[0])<<8 | int(d[1])) % net.NodeCount())
+		ri.add(0, n)
+		if !allOK && d[2]%4 == 0 {
+			rejected[n] = true
+		}
+	}
+	calls := 0
+	ok := func(n topo.NodeID) bool { calls++; return !rejected[n] }
+	if allOK && nilFilter {
+		ok = nil
+	}
+	gotN, gotD, gotOK := ri.nearest(net, pop, leafLocal, 0, ok, skipOwn)
+	wantN, wantD, wantOK := scanNearest(net, pop, leafLocal, ri.perObj[0], func(n topo.NodeID) bool {
+		q, _ := net.Split(n)
+		return !rejected[n] && !(skipOwn && q == pop)
+	})
+	if gotOK != wantOK || (wantOK && (gotN != wantN || gotD != wantD)) {
+		t.Fatalf("%s PoP %d leaf %d skipOwn=%v over %v minus %v: nearest = (%d, %d, %v), scanning everything says (%d, %d, %v)",
+			net.Topo.Name, pop, leafLocal, skipOwn, ri.perObj[0], rejected, gotN, gotD, gotOK, wantN, wantD, wantOK)
+	}
+	if bound := nearestWorkBound(net, ri.perObj[0], pop, skipOwn); allOK && calls > bound {
+		t.Fatalf("%s PoP %d skipOwn=%v: filter consulted %d times over %d replicas, want at most %d (one per remote PoP group + the own group)",
+			net.Topo.Name, pop, skipOwn, calls, len(ri.perObj[0]), bound)
+	}
+}
+
+// nearestCases returns n seeded random inputs for checkNearestCase: replica
+// sets from empty to a couple of hundred copies, so both lone replicas (own
+// group empty, single-entry groups) and dense clustered sets occur.
+func nearestCases(n int) [][]byte {
+	r := rand.New(rand.NewSource(14))
+	cases := make([][]byte, n)
+	for i := range cases {
+		replicas := r.Intn(10)
+		if i%3 == 0 {
+			replicas = r.Intn(200)
+		}
+		cases[i] = make([]byte, 4+3*replicas)
+		r.Read(cases[i])
+	}
+	return cases
+}
+
+// TestNearestMatchesScanRandom is the property test for the grouped lookup:
+// on random replica sets, requesters, filters and modes over three
+// topologies and tree shapes it returns exactly what scanning everything
+// returns.
+func TestNearestMatchesScanRandom(t *testing.T) {
+	for _, data := range nearestCases(6000) {
+		checkNearestCase(t, data)
+	}
+}
+
+// FuzzReplicaNearest explores the same property from the property test's own
+// cases.
+func FuzzReplicaNearest(f *testing.F) {
+	for _, data := range nearestCases(48) {
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) { checkNearestCase(t, data) })
+}
+
+// TestNearestConsultsFilterOncePerRemoteGroup is the deterministic work gate
+// for the lookup, on the shape real runs have — hundreds of replicas
+// clustered in tens of PoPs: 20 of Geant's 22 PoPs hold the object at every
+// router (620 replicas). A lookup that scanned the set would consult the
+// filter 620 times; the grouped one may ask once per remote PoP, plus once
+// per replica of the requester's own PoP. No timing involved.
+func TestNearestConsultsFilterOncePerRemoteGroup(t *testing.T) {
+	net := nearestNets()[2]
+	const holders = 20
+	ri := newReplicaIndex(1)
+	for p := 0; p < holders; p++ {
+		for local := int32(0); local < int32(net.TreeSize()); local++ {
+			ri.add(0, net.Node(p, local))
+		}
+	}
+	for pop := 0; pop < net.PoPs(); pop++ {
+		for _, skipOwn := range []bool{false, true} {
+			calls := 0
+			_, _, found := ri.nearest(net, pop, net.LeafStart(), 0, func(topo.NodeID) bool { calls++; return true }, skipOwn)
+			bound := nearestWorkBound(net, ri.perObj[0], pop, skipOwn)
+			if !found || calls > bound || bound > holders+net.TreeSize() {
+				t.Fatalf("PoP %d skipOwn=%v: found=%v, filter consulted %d times over %d replicas, bound %d",
+					pop, skipOwn, found, calls, len(ri.perObj[0]), bound)
+			}
+		}
 	}
 }

@@ -28,8 +28,9 @@ type Engine struct {
 
 	originServed []int64 // per PoP
 	served       []int64 // per node, within the current capacity window
-	nearestOK    func(topo.NodeID) bool
-	remoteOK     func(topo.NodeID) bool // nearestOK minus this shard's own nodes
+	// nearestOK is the nearest-replica admissibility filter; nil when every
+	// indexed replica is admissible.
+	nearestOK func(topo.NodeID) bool
 
 	// Failure-plan state (nil/zero when Config.FailurePlan is nil).
 	failed       []bool  // per node: currently blacked out
@@ -259,9 +260,11 @@ func newEngine(cfg Config, sh *engineShard) (*Engine, error) {
 		e.failed = make([]bool, net.NodeCount())
 	}
 	e.sh = sh
-	e.nearestOK = func(n topo.NodeID) bool { return e.admissibleAny(n) }
-	// A replica node this engine has a store for is one of its own.
-	e.remoteOK = func(n topo.NodeID) bool { return e.caches[n] == nil && e.admissibleAny(n) }
+	// Only nodes with a store enter an unsharded engine's replica index, so
+	// without a capacity limit or a failure plan there is nothing to filter.
+	if e.served != nil || e.failed != nil || sh != nil {
+		e.nearestOK = func(n topo.NodeID) bool { return e.admissibleAny(n) }
+	}
 	e.provisionCaches()
 	return e, nil
 }
@@ -910,7 +913,8 @@ func (e *Engine) insert(node topo.NodeID, obj int32) {
 
 // serveNearestReplica implements ICN-NR: the request goes to the closest
 // cached copy (zero-cost lookup), falling back to the origin when the origin
-// is at least as close or no admissible replica exists.
+// is strictly closer or no admissible replica exists; a replica as far away
+// as the origin wins the tie.
 //
 //icn:noalloc
 func (e *Engine) serveNearestReplica(q Request) {
@@ -935,7 +939,7 @@ func (e *Engine) serveNearestReplica(q Request) {
 		originDist = net.DepthOf(leafLocal) + net.CoreDist(pop, origin)
 	}
 
-	node, dist, found := e.replicas.nearest(net, pop, leafLocal, q.Object, e.nearestOK)
+	node, dist, found := e.replicas.nearest(net, pop, leafLocal, q.Object, e.nearestOK, false)
 	if e.sh != nil {
 		node, dist, found = e.nearestAcrossShards(pop, leafLocal, q.Object, node, dist, found)
 	}

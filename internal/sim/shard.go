@@ -177,14 +177,14 @@ func (e *Engine) cacheAt(n topo.NodeID) bool {
 // dist, found) is the answer from the shard's live own-PoP index (its own
 // changes, instantly); this merges in a scan of the shared epoch-start
 // index (everyone else's replicas as of the last barrier — its image of the
-// shard's own PoP is stale, and remoteOK filters it out). Together that is
+// shard's own PoP is stale, and is skipped as one group). Together that is
 // exactly what a private full mirror fed by barrier broadcasts would hold,
 // without the P copies. The merge applies the (distance, NodeID) order
 // explicitly, so which index is consulted first cannot change a result.
 //
 //icn:noalloc
 func (e *Engine) nearestAcrossShards(pop int, leafLocal, obj int32, node topo.NodeID, dist int, found bool) (topo.NodeID, int, bool) {
-	n, d, ok := e.sh.shared.replicas.nearest(e.net, pop, leafLocal, obj, e.remoteOK)
+	n, d, ok := e.sh.shared.replicas.nearest(e.net, pop, leafLocal, obj, e.nearestOK, true)
 	if ok && (!found || d < dist || (d == dist && n < node)) {
 		return n, d, true
 	}

@@ -865,25 +865,81 @@ func TestWarmupValidation(t *testing.T) {
 	}
 }
 
+// BenchmarkNearestReplicaLookup measures replicaIndex.nearest alone, on what
+// a run actually asks of it: the replica sets of an ICN-NR engine warmed on
+// Geant with the paper's 2-ary depth-5 trees, the lookups its next requests
+// perform (those that miss the arrival leaf), and the engine's own filter —
+// none for the plain design, the admissibility closure once a capacity limit
+// is set. Sub-benchmarks split the lookups by replica-set size, because the
+// cost that matters is on the large sets: a synthetic index with a replica or
+// two per object reads a few ns whatever the lookup does.
 func BenchmarkNearestReplicaLookup(b *testing.B) {
-	net := topo.NewNetwork(topo.ATT(), 2, 5)
+	net := topo.NewNetwork(topo.Geant(), 2, 5)
 	const objects = 2000
-	ri := newReplicaIndex(objects)
-	r := rand.New(rand.NewSource(1))
-	// Populate: popular objects get many replicas, tail objects few.
-	for obj := int32(0); obj < objects; obj++ {
-		replicas := 1 + int(200/float64(obj+1))
-		for k := 0; k < replicas; k++ {
-			pop := r.Intn(net.PoPs())
-			local := int32(r.Intn(net.TreeSize()))
-			ri.add(obj, net.Node(pop, local))
-		}
+	weights := net.Topo.PopulationWeights()
+	reqs := trace.NewSyntheticRequests(trace.StreamConfig{
+		Requests: 100000, Objects: objects, Alpha: 1.04,
+		PoPWeights: weights, Leaves: net.LeavesPerTree(), Seed: 7,
+	})
+	warm, tail := reqs[:80000], reqs[80000:]
+	type lookup struct {
+		pop       int
+		leafLocal int32
+		obj       int32
 	}
-	leaf := net.LeafStart()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		obj := int32(i % objects)
-		ri.nearest(net, i%net.PoPs(), leaf, obj, nil)
+	sizes := []struct {
+		name string
+		max  int // exclusive
+	}{{"replicas=1-31", 32}, {"replicas=32-255", 256}, {"replicas=256+", net.NodeCount() + 1}}
+	for _, f := range []struct {
+		name     string
+		capacity int64
+	}{{"filter=none", 0}, {"filter=capacity", 1 << 40}} {
+		e, err := New(ICNNR.Apply(Config{
+			Network: net, Objects: objects,
+			Origins:        trace.OriginAssignment(objects, weights, true, 3),
+			BudgetFraction: 0.05, BudgetPolicy: BudgetProportional,
+			Capacity: f.capacity, CapacityWindow: 1 << 40,
+		}))
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, q := range warm {
+			e.serveRequest(q)
+		}
+		if (e.nearestOK == nil) != (f.capacity == 0) {
+			b.Fatalf("%s: engine filter nil = %v", f.name, e.nearestOK == nil)
+		}
+		bySize := make([][]lookup, len(sizes))
+		for _, q := range tail {
+			leafLocal := net.LeafStart() + q.Leaf
+			if e.caches[net.Node(int(q.PoP), leafLocal)].Contains(q.Object) {
+				continue // served at the arrival leaf without a lookup
+			}
+			i := 0
+			for len(e.replicas.perObj[q.Object]) >= sizes[i].max {
+				i++
+			}
+			bySize[i] = append(bySize[i], lookup{int(q.PoP), leafLocal, q.Object})
+		}
+		for i, size := range sizes {
+			b.Run(f.name+"/"+size.name, func(b *testing.B) {
+				ls := bySize[i]
+				if len(ls) == 0 {
+					b.Skip("the warmed engine has no replica set this size")
+				}
+				replicas := 0
+				for _, l := range ls {
+					replicas += len(e.replicas.perObj[l.obj])
+				}
+				b.ResetTimer()
+				for n := 0; n < b.N; n++ {
+					l := ls[n%len(ls)]
+					e.replicas.nearest(net, l.pop, l.leafLocal, l.obj, e.nearestOK, false)
+				}
+				b.ReportMetric(float64(replicas)/float64(len(ls)), "replicas/lookup")
+			})
+		}
 	}
 }
 

@@ -17,6 +17,7 @@ type Network struct {
 	Depth int
 
 	paths      *Paths
+	coreLink   [][]int32 // coreLink[p][q] = dense backbone link index, -1 where not adjacent
 	treeSize   int32
 	leafStart  int32
 	leaves     int32
@@ -55,11 +56,25 @@ func NewNetwork(t *Topology, arity, depth int) *Network {
 			depthOf[i] = int8(d)
 		}
 	}
+	pops := t.Graph.N()
+	flat := make([]int32, pops*pops)
+	for i := range flat {
+		flat[i] = -1
+	}
+	coreLink := make([][]int32, pops)
+	for p := range coreLink {
+		coreLink[p] = flat[p*pops : (p+1)*pops]
+	}
+	for i, e := range t.Graph.Edges() {
+		coreLink[e[0]][e[1]] = int32(i)
+		coreLink[e[1]][e[0]] = int32(i)
+	}
 	return &Network{
 		Topo:       t,
 		Arity:      arity,
 		Depth:      depth,
 		paths:      t.Graph.AllPairsShortestPaths(),
+		coreLink:   coreLink,
 		treeSize:   size,
 		leafStart:  levelStart[depth],
 		leaves:     size - levelStart[depth],
@@ -207,9 +222,9 @@ func (n *Network) CoreLinks() int { return n.Topo.Graph.EdgeCount() }
 // CoreLinkIndex returns the dense index of the backbone link {p, q}.
 // It panics if the link does not exist, which indicates a routing bug.
 func (n *Network) CoreLinkIndex(p, q int) int {
-	i, ok := n.Topo.Graph.EdgeIndex(int32(p), int32(q))
-	if !ok {
+	i := n.coreLink[p][q]
+	if i < 0 {
 		panic(fmt.Sprintf("topo: no core link between PoPs %d and %d", p, q))
 	}
-	return i
+	return int(i)
 }

@@ -2,6 +2,7 @@ package topo
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -458,17 +459,38 @@ func TestLinkIndicesDisjoint(t *testing.T) {
 	}
 }
 
+// TestCoreLinkIndex pins Network's dense PoP x PoP link table to the graph
+// it was built from: on every built-in topology and a parsed custom one,
+// every ordered PoP pair either is an edge and gets Graph.EdgeIndex's answer
+// in both orientations, or is not and panics (self-pairs included).
 func TestCoreLinkIndex(t *testing.T) {
-	n := newTestNetwork(t, 2, 2)
-	if i := n.CoreLinkIndex(0, 1); i < 0 || i >= n.CoreLinks() {
-		t.Fatalf("CoreLinkIndex(0,1) = %d", i)
+	custom, err := ParseTopology(strings.NewReader(sampleTopo))
+	if err != nil {
+		t.Fatal(err)
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("CoreLinkIndex on a non-edge did not panic")
+	for _, tp := range append(AllTopologies(), custom) {
+		n := NewNetwork(tp, 2, 1)
+		links := 0
+		for p := 0; p < n.PoPs(); p++ {
+			for q := 0; q < n.PoPs(); q++ {
+				want, ok := tp.Graph.EdgeIndex(int32(p), int32(q))
+				got, panicked := func() (i int, panicked bool) {
+					defer func() { panicked = recover() != nil }()
+					return n.CoreLinkIndex(p, q), false
+				}()
+				if panicked == ok || (ok && got != want) {
+					t.Fatalf("%s: CoreLinkIndex(%d,%d) = %d (panicked: %v), Graph.EdgeIndex says %d, %v",
+						tp.Name, p, q, got, panicked, want, ok)
+				}
+				if ok {
+					links++
+				}
+			}
 		}
-	}()
-	n.CoreLinkIndex(0, 7) // Seattle-Atlanta: not adjacent
+		if links != 2*n.CoreLinks() {
+			t.Fatalf("%s: %d ordered adjacent pairs for %d links", tp.Name, links, n.CoreLinks())
+		}
+	}
 }
 
 func TestNewNetworkPanics(t *testing.T) {
