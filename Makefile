@@ -54,12 +54,15 @@ race:
 # (what a hit may allocate is gated by TestHitDoesNotTouchBody in `make test`).
 # BenchmarkNearestReplicaLookup and BenchmarkRunICNNRAbilene keep the ICN-NR
 # lookup's own rulers (by replica-set size; one whole unsharded run) running.
+# BenchmarkIntLRUColdCaches drives 3,456 EDGE/ATT-sized leaf LRUs round-robin,
+# the cold-memory regime the per-leaf caches run in, and reports allocs/op.
 bench-smoke:
 	@out="$$($(GO) test ./internal/sim -run '^$$' -bench '^BenchmarkServeRequest$$' -benchtime 1000x -benchmem)" || { echo "$$out"; exit 1; }; \
 	echo "$$out"; \
 	echo "$$out" | awk '$(ALLOC_GATE_AWK)'
 	$(GO) test ./internal/sim -run '^$$' -bench '^BenchmarkServeRequestObserved$$' -benchtime 1000x -benchmem
 	$(GO) test ./internal/sim -run '^$$' -bench '^(BenchmarkNearestReplicaLookup|BenchmarkRunICNNRAbilene)$$' -benchtime 1x
+	$(GO) test ./internal/cache -run '^$$' -bench '^BenchmarkIntLRUColdCaches$$' -benchtime 1x -benchmem
 	$(GO) test . -run '^$$' -bench 'BenchmarkFigure6Parallel' -benchtime 1x
 	$(GO) test . -run '^$$' -bench 'BenchmarkShardedStream/ICN-NR' -benchtime 1x
 	$(GO) test ./internal/idicn/proxy -run '^$$' -bench '^BenchmarkProxyServeHit$$' -benchtime 100x -benchmem

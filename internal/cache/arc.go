@@ -9,25 +9,15 @@ package cache
 // frequent working set in T2 intact, which is exactly the failure mode of
 // plain LRU under ICN router workloads.
 //
-// Layout follows IntLRU: all four lists share flat prev/next/keys slot arrays
-// (2*capacity slots — residents plus ghosts), a single id->slot map indexes
-// both, and ghost entries cost the same few words as residents. Operations
-// perform no allocation after construction.
+// All four lists live in one slotLists (2*capacity flat slots, residents
+// plus ghosts, one id->slot index), so a ghost costs the same few words as a
+// resident. Operations perform no allocation after construction.
 //
 // ARC is not safe for concurrent use.
 type ARC struct {
-	capacity int
-	p        int // adaptation target for |T1|, in [0, capacity]
-
-	index map[int32]int32 // object id -> slot (resident or ghost)
-	keys  []int32         // slot -> object id
-	where []uint8         // slot -> list (arcT1..arcB2)
-	prev  []int32         // slot -> toward head (MRU), -1 at head
-	next  []int32         // slot -> toward tail (LRU), -1 at tail
-	head  [4]int32        // per-list MRU slot, -1 if empty
-	tail  [4]int32        // per-list LRU slot, -1 if empty
-	lens  [4]int
-	free  []int32 // unused slots
+	capacity  int
+	p         int // adaptation target for |T1|, in [0, capacity]
+	slotLists     // lists arcT1..arcB2, heads at the MRU end
 
 	onEvict EvictFunc
 
@@ -51,23 +41,7 @@ func NewARC(capacity int, onEvict EvictFunc) *ARC {
 	if capacity < 0 {
 		panic("cache: negative capacity")
 	}
-	slots := 2 * capacity
-	c := &ARC{
-		capacity: capacity,
-		index:    make(map[int32]int32, slots),
-		keys:     make([]int32, slots),
-		where:    make([]uint8, slots),
-		prev:     make([]int32, slots),
-		next:     make([]int32, slots),
-		head:     [4]int32{-1, -1, -1, -1},
-		tail:     [4]int32{-1, -1, -1, -1},
-		free:     make([]int32, slots),
-		onEvict:  onEvict,
-	}
-	for i := range c.free {
-		c.free[i] = int32(slots - 1 - i) // pop from the end: slots in order
-	}
-	return c
+	return &ARC{capacity: capacity, slotLists: newSlotLists(2 * capacity), onEvict: onEvict}
 }
 
 // Lookup reports whether obj is resident, promoting a hit to the MRU end of
@@ -76,10 +50,10 @@ func NewARC(capacity int, onEvict EvictFunc) *ARC {
 //
 //icn:noalloc
 func (c *ARC) Lookup(obj int32) bool {
-	if slot, ok := c.index[obj]; ok && c.where[slot] <= arcT2 {
+	if slot, ok := c.index.slot(obj); ok && c.where[slot] <= arcT2 {
 		c.hits++
 		c.unlink(slot)
-		c.push(arcT2, slot)
+		c.pushHead(arcT2, slot)
 		return true
 	}
 	c.misses++
@@ -90,7 +64,7 @@ func (c *ARC) Lookup(obj int32) bool {
 //
 //icn:noalloc
 func (c *ARC) Contains(obj int32) bool {
-	slot, ok := c.index[obj]
+	slot, ok := c.index.slot(obj)
 	return ok && c.where[slot] <= arcT2
 }
 
@@ -104,25 +78,25 @@ func (c *ARC) Insert(obj int32) bool {
 	if c.capacity == 0 {
 		return false
 	}
-	if slot, ok := c.index[obj]; ok {
+	if slot, ok := c.index.slot(obj); ok {
 		switch c.where[slot] {
 		case arcT1, arcT2:
 			c.unlink(slot)
-			c.push(arcT2, slot)
+			c.pushHead(arcT2, slot)
 			return false
 		case arcB1:
 			// A larger T1 would have kept this object: grow p.
 			c.p = min(c.p+max(1, c.lens[arcB2]/c.lens[arcB1]), c.capacity)
 			evicted := c.replace(false)
 			c.unlink(slot)
-			c.push(arcT2, slot)
+			c.pushHead(arcT2, slot)
 			return evicted
 		default: // arcB2
 			// A larger T2 would have kept it: shrink p.
 			c.p = max(c.p-max(1, c.lens[arcB1]/c.lens[arcB2]), 0)
 			evicted := c.replace(true)
 			c.unlink(slot)
-			c.push(arcT2, slot)
+			c.pushHead(arcT2, slot)
 			return evicted
 		}
 	}
@@ -134,11 +108,8 @@ func (c *ARC) Insert(obj int32) bool {
 			evicted = c.replace(false)
 		} else {
 			// B1 is empty and T1 fills the cache: evict T1's LRU outright.
-			slot := c.tail[arcT1]
-			victim := c.keys[slot]
-			c.unlink(slot)
-			delete(c.index, victim)
-			c.free = append(c.free, slot)
+			victim := c.keys[c.tail[arcT1]]
+			c.drop(c.tail[arcT1])
 			evicted = true
 			if c.onEvict != nil {
 				c.onEvict(victim)
@@ -153,11 +124,7 @@ func (c *ARC) Insert(obj int32) bool {
 			evicted = c.replace(false)
 		}
 	}
-	slot := c.free[len(c.free)-1]
-	c.free = c.free[:len(c.free)-1]
-	c.keys[slot] = obj
-	c.index[obj] = slot
-	c.push(arcT1, slot)
+	c.pushHead(arcT1, c.alloc(obj))
 	return evicted
 }
 
@@ -206,11 +173,11 @@ func (c *ARC) replace(inB2 bool) bool {
 	if useT1 {
 		slot = c.tail[arcT1]
 		c.unlink(slot)
-		c.push(arcB1, slot)
+		c.pushHead(arcB1, slot)
 	} else {
 		slot = c.tail[arcT2]
 		c.unlink(slot)
-		c.push(arcB2, slot)
+		c.pushHead(arcB2, slot)
 	}
 	if c.onEvict != nil {
 		c.onEvict(c.keys[slot])
@@ -222,47 +189,7 @@ func (c *ARC) replace(inB2 bool) bool {
 //
 //icn:noalloc
 func (c *ARC) dropGhost(list uint8) {
-	slot := c.tail[list]
-	if slot < 0 {
-		return
+	if slot := c.tail[list]; slot >= 0 {
+		c.drop(slot)
 	}
-	c.unlink(slot)
-	delete(c.index, c.keys[slot])
-	c.free = append(c.free, slot)
-}
-
-// push links slot at the head (MRU end) of list.
-//
-//icn:noalloc
-func (c *ARC) push(list uint8, slot int32) {
-	c.where[slot] = list
-	c.prev[slot] = -1
-	c.next[slot] = c.head[list]
-	if c.head[list] >= 0 {
-		c.prev[c.head[list]] = slot
-	}
-	c.head[list] = slot
-	if c.tail[list] < 0 {
-		c.tail[list] = slot
-	}
-	c.lens[list]++
-}
-
-// unlink removes slot from whichever list holds it.
-//
-//icn:noalloc
-func (c *ARC) unlink(slot int32) {
-	list := c.where[slot]
-	p, n := c.prev[slot], c.next[slot]
-	if p >= 0 {
-		c.next[p] = n
-	} else {
-		c.head[list] = n
-	}
-	if n >= 0 {
-		c.prev[n] = p
-	} else {
-		c.tail[list] = p
-	}
-	c.lens[list]--
 }

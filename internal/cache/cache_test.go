@@ -193,51 +193,6 @@ func TestIntLRUZeroCapacity(t *testing.T) {
 	}
 }
 
-// Property: IntLRU behaves identically to the generic LRU under a random
-// operation stream (differential test), and never exceeds capacity.
-func TestIntLRUMatchesGenericLRUQuick(t *testing.T) {
-	f := func(seed int64, capRaw uint8) bool {
-		capacity := int(capRaw%16) + 1
-		ref := NewLRU[int32, struct{}](capacity, nil)
-		got := NewIntLRU(capacity, nil)
-		r := rand.New(rand.NewSource(seed))
-		for i := 0; i < 500; i++ {
-			obj := int32(r.Intn(32))
-			switch r.Intn(3) {
-			case 0:
-				ref.Put(obj, struct{}{})
-				got.Insert(obj)
-			case 1:
-				_, refOK := ref.Get(obj)
-				if got.Lookup(obj) != refOK {
-					return false
-				}
-			case 2:
-				if ref.Remove(obj) != got.Remove(obj) {
-					return false
-				}
-			}
-			if got.Len() != ref.Len() || got.Len() > capacity {
-				return false
-			}
-		}
-		// Final recency order must match exactly.
-		rk, gk := ref.Keys(), got.Keys()
-		if len(rk) != len(gk) {
-			return false
-		}
-		for i := range rk {
-			if rk[i] != gk[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestLFUBasic(t *testing.T) {
 	c := NewLFU[string, int](2, nil)
 	c.Put("a", 1)

@@ -6,30 +6,23 @@ package cache
 // routers"). Like ARC it balances a recency clock T1 against a frequency
 // clock T2 with ghost lists B1/B2 steering the adaptation target p — but a
 // hit only sets a reference bit, with no list surgery at all, so the hit path
-// is a map probe plus one bit write: the cheapest possible touch for a
+// is an index probe plus one bit write: the cheapest possible touch for a
 // router forwarding at line rate. List maintenance is deferred to misses,
 // where the clock hand sweeps reference bits.
 //
-// The compact part: residents and ghosts share flat prev/next/keys slot
-// arrays (2*capacity slots) and one id->slot map, so a ghost costs a few
-// words instead of a full descriptor. Operations perform no allocation after
-// construction.
+// The compact part: residents and ghosts share one slotLists (2*capacity
+// flat slots, one id->slot index), so a ghost costs a few words instead of a
+// full descriptor. Operations perform no allocation after construction.
 //
 // CAR is not safe for concurrent use.
 type CAR struct {
 	capacity int
 	p        int // adaptation target for |T1|, in [0, capacity]
 
-	index map[int32]int32 // object id -> slot (resident or ghost)
-	keys  []int32         // slot -> object id
-	where []uint8         // slot -> list (carT1..carB2)
-	ref   []bool          // slot -> clock reference bit (residents only)
-	prev  []int32         // slot -> toward head, -1 at head
-	next  []int32         // slot -> toward tail, -1 at tail
-	head  [4]int32        // clock hand (T1/T2) or LRU end (B1/B2), -1 if empty
-	tail  [4]int32        // insertion end: behind the hand (T1/T2), MRU (B1/B2)
-	lens  [4]int
-	free  []int32 // unused slots
+	// Lists carT1..carB2. head is the clock hand (T1/T2) or the LRU end
+	// (B1/B2); tail is the insertion end.
+	slotLists
+	ref []bool // slot -> clock reference bit (residents only)
 
 	onEvict EvictFunc
 
@@ -56,23 +49,7 @@ func NewCAR(capacity int, onEvict EvictFunc) *CAR {
 		panic("cache: negative capacity")
 	}
 	slots := 2 * capacity
-	c := &CAR{
-		capacity: capacity,
-		index:    make(map[int32]int32, slots),
-		keys:     make([]int32, slots),
-		where:    make([]uint8, slots),
-		ref:      make([]bool, slots),
-		prev:     make([]int32, slots),
-		next:     make([]int32, slots),
-		head:     [4]int32{-1, -1, -1, -1},
-		tail:     [4]int32{-1, -1, -1, -1},
-		free:     make([]int32, slots),
-		onEvict:  onEvict,
-	}
-	for i := range c.free {
-		c.free[i] = int32(slots - 1 - i) // pop from the end: slots in order
-	}
-	return c
+	return &CAR{capacity: capacity, slotLists: newSlotLists(slots), ref: make([]bool, slots), onEvict: onEvict}
 }
 
 // Lookup reports whether obj is resident. A hit only sets the slot's
@@ -81,7 +58,7 @@ func NewCAR(capacity int, onEvict EvictFunc) *CAR {
 //
 //icn:noalloc
 func (c *CAR) Lookup(obj int32) bool {
-	if slot, ok := c.index[obj]; ok && c.where[slot] <= carT2 {
+	if slot, ok := c.index.slot(obj); ok && c.where[slot] <= carT2 {
 		c.hits++
 		c.ref[slot] = true
 		return true
@@ -95,7 +72,7 @@ func (c *CAR) Lookup(obj int32) bool {
 //
 //icn:noalloc
 func (c *CAR) Contains(obj int32) bool {
-	slot, ok := c.index[obj]
+	slot, ok := c.index.slot(obj)
 	return ok && c.where[slot] <= carT2
 }
 
@@ -110,7 +87,7 @@ func (c *CAR) Insert(obj int32) bool {
 	if c.capacity == 0 {
 		return false
 	}
-	slot, ok := c.index[obj]
+	slot, ok := c.index.slot(obj)
 	if ok && c.where[slot] <= carT2 {
 		c.ref[slot] = true
 		return false
@@ -128,10 +105,7 @@ func (c *CAR) Insert(obj int32) bool {
 		}
 	}
 	if !ok {
-		s := c.free[len(c.free)-1]
-		c.free = c.free[:len(c.free)-1]
-		c.keys[s] = obj
-		c.index[obj] = s
+		s := c.alloc(obj)
 		c.ref[s] = false
 		c.pushTail(carT1, s)
 		return evicted
@@ -220,48 +194,7 @@ func (c *CAR) replace() {
 //
 //icn:noalloc
 func (c *CAR) dropGhost(list uint8) {
-	slot := c.head[list]
-	if slot < 0 {
-		return
+	if slot := c.head[list]; slot >= 0 {
+		c.drop(slot)
 	}
-	c.unlink(slot)
-	delete(c.index, c.keys[slot])
-	c.free = append(c.free, slot)
-}
-
-// pushTail links slot at the tail of list: behind the clock hand for T1/T2,
-// the MRU end for B1/B2.
-//
-//icn:noalloc
-func (c *CAR) pushTail(list uint8, slot int32) {
-	c.where[slot] = list
-	c.next[slot] = -1
-	c.prev[slot] = c.tail[list]
-	if c.tail[list] >= 0 {
-		c.next[c.tail[list]] = slot
-	}
-	c.tail[list] = slot
-	if c.head[list] < 0 {
-		c.head[list] = slot
-	}
-	c.lens[list]++
-}
-
-// unlink removes slot from whichever list holds it.
-//
-//icn:noalloc
-func (c *CAR) unlink(slot int32) {
-	list := c.where[slot]
-	p, n := c.prev[slot], c.next[slot]
-	if p >= 0 {
-		c.next[p] = n
-	} else {
-		c.head[list] = n
-	}
-	if n >= 0 {
-		c.prev[n] = p
-	} else {
-		c.tail[list] = p
-	}
-	c.lens[list]--
 }

@@ -123,9 +123,9 @@ func (c *IntLRU) AppendState(buf []byte) []byte {
 	buf = appendSnapHeader(buf, snapLRU, c.capacity)
 	buf = appendVarint(buf, c.hits)
 	buf = appendVarint(buf, c.misses)
-	buf = appendUvarint(buf, uint64(len(c.index)))
-	for s := c.head; s >= 0; s = c.next[s] {
-		buf = appendVarint(buf, int64(c.keys[s]))
+	buf = appendUvarint(buf, uint64(c.index.n))
+	for _, k := range c.Keys() {
+		buf = appendVarint(buf, int64(k))
 	}
 	return buf
 }
@@ -265,7 +265,7 @@ func (c *ARC) RestoreState(data []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	if len(c.index) != 0 {
+	if c.index.n != 0 {
 		return nil, errors.New("cache: ARC.RestoreState on a non-empty cache")
 	}
 	var p int64
@@ -305,14 +305,10 @@ func (c *ARC) RestoreState(data []byte) ([]byte, error) {
 		// the serialized MRU-to-LRU order.
 		for i := len(keys[li]) - 1; i >= 0; i-- {
 			k := keys[li][i]
-			if _, dup := c.index[k]; dup {
+			if _, dup := c.index.slot(k); dup {
 				return nil, fmt.Errorf("%w: duplicate key %d", ErrCorruptSnapshot, k)
 			}
-			slot := c.free[len(c.free)-1]
-			c.free = c.free[:len(c.free)-1]
-			c.keys[slot] = k
-			c.index[k] = slot
-			c.push(li, slot)
+			c.pushHead(li, c.alloc(k))
 		}
 	}
 	return rest, nil
@@ -349,7 +345,7 @@ func (c *CAR) RestoreState(data []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	if len(c.index) != 0 {
+	if c.index.n != 0 {
 		return nil, errors.New("cache: CAR.RestoreState on a non-empty cache")
 	}
 	var p int64
@@ -377,7 +373,7 @@ func (c *CAR) RestoreState(data []byte) ([]byte, error) {
 			if resident > c.capacity {
 				return nil, fmt.Errorf("%w: CAR resident count exceeds capacity", ErrCorruptSnapshot)
 			}
-		} else if len(c.index)+n > 2*c.capacity {
+		} else if c.index.n+n > 2*c.capacity {
 			return nil, fmt.Errorf("%w: CAR total count exceeds 2x capacity", ErrCorruptSnapshot)
 		}
 		for i := 0; i < n; i++ {
@@ -393,13 +389,10 @@ func (c *CAR) RestoreState(data []byte) ([]byte, error) {
 				ref = rest[0] == 1
 				rest = rest[1:]
 			}
-			if _, dup := c.index[k]; dup {
+			if _, dup := c.index.slot(k); dup {
 				return nil, fmt.Errorf("%w: duplicate key %d", ErrCorruptSnapshot, k)
 			}
-			slot := c.free[len(c.free)-1]
-			c.free = c.free[:len(c.free)-1]
-			c.keys[slot] = k
-			c.index[k] = slot
+			slot := c.alloc(k)
 			c.ref[slot] = ref
 			c.pushTail(li, slot)
 		}

@@ -104,7 +104,9 @@ func (p Policy) Do(ctx context.Context, fn func(ctx context.Context) error) erro
 	if sleep == nil {
 		sleep = sleepCtx
 	}
-	rng := rand.New(rand.NewSource(p.Seed))
+	// The jitter source is seeded only before the first retry: a
+	// first-attempt success, the common case, builds no 4.9 KB rand table.
+	var rng *rand.Rand
 	var lastErr error
 	for attempt := 0; attempt < p.attempts(); attempt++ {
 		if attempt > 0 {
@@ -113,6 +115,9 @@ func (p Policy) Do(ctx context.Context, fn func(ctx context.Context) error) erro
 			// another upstream call anyway.
 			if bud := BudgetFrom(ctx); bud != nil && bud.Remaining() <= 0 {
 				return lastErr
+			}
+			if rng == nil {
+				rng = rand.New(rand.NewSource(p.Seed))
 			}
 			if err := sleep(ctx, p.Backoff(attempt-1, rng)); err != nil {
 				return lastErr

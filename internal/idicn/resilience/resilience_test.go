@@ -66,6 +66,35 @@ func TestDoDeterministicJitter(t *testing.T) {
 	}
 }
 
+// TestDoBackoffSequencePinned pins the jittered delays a fixed Seed yields,
+// so seeding the source lazily (or any other change to how Do draws jitter)
+// cannot silently alter the schedule.
+func TestDoBackoffSequencePinned(t *testing.T) {
+	sleep, slept := noSleep()
+	p := Policy{MaxAttempts: 6, BaseDelay: 10 * time.Millisecond, MaxDelay: 80 * time.Millisecond, Seed: 42, Sleep: sleep}
+	p.Do(context.Background(), func(context.Context) error { return errors.New("x") })
+	want := []time.Duration{5545452, 19148845, 32775785, 56310550, 79699267}
+	if len(*slept) != len(want) {
+		t.Fatalf("slept %v, want %v", *slept, want)
+	}
+	for i := range want {
+		if (*slept)[i] != want[i] {
+			t.Errorf("backoff %d = %d, want %d", i, (*slept)[i], want[i])
+		}
+	}
+}
+
+// TestDoFirstAttemptSuccessAllocatesNothing: the jitter source is only
+// needed for a retry, so a call that succeeds at once must not build one.
+func TestDoFirstAttemptSuccessAllocatesNothing(t *testing.T) {
+	p := Policy{MaxAttempts: 3, Seed: 7}
+	ctx := context.Background()
+	ok := func(context.Context) error { return nil }
+	if allocs := testing.AllocsPerRun(100, func() { p.Do(ctx, ok) }); allocs != 0 {
+		t.Fatalf("first-attempt success allocates %v times per call, want 0", allocs)
+	}
+}
+
 func TestDoExhaustsAttempts(t *testing.T) {
 	sleep, _ := noSleep()
 	p := Policy{MaxAttempts: 3, Seed: 1, Sleep: sleep}
