@@ -3,16 +3,16 @@
 
 GO ?= go
 
-.PHONY: check fmtcheck lint vet build test race bench-smoke chaos-smoke overload-smoke crash-smoke alloc-gate bench bench-all bench-json clean
+.PHONY: check fmtcheck lint vet build test race bench-smoke chaos-smoke overload-smoke crash-smoke alloc-gate bench bench-all clean
 
 check: fmtcheck lint vet build test race chaos-smoke overload-smoke crash-smoke bench-smoke
 
 # The serve-path allocation gate, shared by bench-smoke and the Makefile
 # test in alloc_gate_test.go. `go test -benchmem` reports allocs/op as a
-# rounded integer, but BENCH_sim.json records fractional values (e.g.
-# 0.0166 for EDGE), so the threshold is explicit: a BenchmarkServeRequest
-# line with allocs/op >= 0.5 — anything that would round to a nonzero
-# integer — fails.
+# rounded integer, but a transcript may carry fractional values (e.g.
+# 0.0166 allocs per request for EDGE), so the threshold is explicit: a
+# BenchmarkServeRequest line with allocs/op >= 0.5 — anything that would
+# round to a nonzero integer — fails.
 ALLOC_GATE_AWK = /^BenchmarkServeRequest\// && $$NF == "allocs/op" && $$(NF-1)+0 >= 0.5 { bad = 1; print "alloc-gate: FAIL: serve path allocates: " $$0 } END { exit bad }
 
 # Project-invariant static analysis (see README "Static analysis"): the
@@ -52,7 +52,7 @@ race:
 # the sharded streaming loop on Geant at 1 and 2 workers and re-checks Result
 # equality; BenchmarkProxyServeHit serves 1 KiB and 256 KiB proxy cache hits
 # (what a hit may allocate is gated by TestHitDoesNotTouchBody in `make test`).
-# BenchmarkNearestReplicaLookup and BenchmarkRunICNNRAbilene keep the ICN-NR
+# BenchmarkNearestReplicaLookup and BenchmarkRunAbilene/ICN-NR keep the ICN-NR
 # lookup's own rulers (by replica-set size; one whole unsharded run) running.
 # BenchmarkIntLRUColdCaches drives 3,456 EDGE/ATT-sized leaf LRUs round-robin,
 # the cold-memory regime the per-leaf caches run in, and reports allocs/op.
@@ -61,7 +61,8 @@ bench-smoke:
 	echo "$$out"; \
 	echo "$$out" | awk '$(ALLOC_GATE_AWK)'
 	$(GO) test ./internal/sim -run '^$$' -bench '^BenchmarkServeRequestObserved$$' -benchtime 1000x -benchmem
-	$(GO) test ./internal/sim -run '^$$' -bench '^(BenchmarkNearestReplicaLookup|BenchmarkRunICNNRAbilene)$$' -benchtime 1x
+	$(GO) test ./internal/sim -run '^$$' -bench '^BenchmarkNearestReplicaLookup$$' -benchtime 1x
+	$(GO) test ./internal/sim -run '^$$' -bench '^BenchmarkRunAbilene$$/^ICN-NR$$' -benchtime 1x
 	$(GO) test ./internal/cache -run '^$$' -bench '^BenchmarkIntLRUColdCaches$$' -benchtime 1x -benchmem
 	$(GO) test . -run '^$$' -bench 'BenchmarkFigure6Parallel' -benchtime 1x
 	$(GO) test . -run '^$$' -bench 'BenchmarkShardedStream/ICN-NR' -benchtime 1x
@@ -91,24 +92,18 @@ overload-smoke:
 crash-smoke:
 	$(GO) test -race -count=1 -run '^TestCrashResumeDrill' ./internal/checkpoint
 
-# Measure sharded streaming throughput (EDGE on ATT, ICN-NR on Geant) at 1,
-# half, and all cores and append the timestamped requests_per_sec series to
-# the committed perf log, then
-# the daemon overload series (admitted/sec and p99 queue wait at 1x/2x/4x
+# Append the daemon overload series (admitted/sec and p99 queue wait at 1x/2x/4x
 # offered load, plus a load-under-chaos point that must engage the brownout
 # ladder while holding goodput above a quarter of fault-free capacity) to
-# BENCH_daemon.json.
+# BENCH_daemon.json. The simulator has no perf log here: `go run ./bench`
+# measures it end to end (the sim_* workloads) and `go test -bench` per
+# function.
 bench:
-	$(GO) run ./cmd/icnsim -bench-append BENCH_sim.json
 	$(GO) run ./cmd/idicnd -bench-daemon BENCH_daemon.json -faults 'proxy:latency,d=120ms,p=0.5'
 
 # Full benchmark pass over every artifact regeneration.
 bench-all:
 	$(GO) test -run '^$$' -bench . -benchmem ./...
-
-# Regenerate the machine-readable perf log committed at the repo root.
-bench-json:
-	$(GO) run ./cmd/icnsim -bench-json BENCH_sim.json
 
 clean:
 	$(GO) clean ./...

@@ -50,7 +50,7 @@ func TestAllocGateThreshold(t *testing.T) {
 		{"one alloc fails", line("1"), false},
 		{"many allocs fail", line("17"), false},
 		{"other benchmarks exempt",
-			"BenchmarkFig6Baseline-8\t10\t1e8 ns/op\t5e6 B/op\t90000 allocs/op\n", true},
+			"BenchmarkExperiments/fig6-8\t10\t1e8 ns/op\t5e6 B/op\t90000 allocs/op\n", true},
 		{"observed variant exempt",
 			"BenchmarkServeRequestObserved/EDGE-8\t1000\t400.0 ns/op\t8 B/op\t2 allocs/op\n", true},
 		{"empty transcript passes", "", true},

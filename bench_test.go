@@ -1,15 +1,16 @@
-// Benchmark harness: one benchmark per table and figure in the paper's
-// evaluation. Each benchmark regenerates its artifact at a laptop-friendly
-// scale and logs the resulting rows (visible with `go test -bench . -v` or
-// in -benchmem output via b.Log); EXPERIMENTS.md records a full
+// Benchmark harness: BenchmarkExperiments regenerates every artifact in
+// experiments.Registry (the paper's tables and figures plus the repo's own
+// checks and ablations) at a laptop-friendly scale and logs the resulting
+// rows (visible with `go test -bench . -v`); EXPERIMENTS.md records a full
 // paper-versus-measured comparison produced with cmd/icnsim at larger
-// scale.
-//
-// Reported ns/op is the cost of regenerating the whole artifact once.
+// scale. The other two benchmarks time the worker pool and the sharded
+// streaming loop, and check that neither changes a result.
 package idicn_test
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -26,247 +27,33 @@ func benchParams() experiments.Params {
 	return experiments.DefaultParams(benchScale)
 }
 
-// warmParams is the high-warmth configuration (shallow trees, small
-// universe, small topology) in which the paper's capacity-driven trends
-// (Figure 8(b) non-monotonicity, EDGE-Norm gains) manifest at bench scale;
-// see EXPERIMENTS.md.
-func warmParams() experiments.Params {
+// BenchmarkExperiments has one sub-benchmark per registered experiment id;
+// ns/op is the cost of regenerating that artifact once. trace-designs reads
+// a small Asia-model request log written to a temp dir.
+func BenchmarkExperiments(b *testing.B) {
 	p := benchParams()
-	p.Depth = 3
-	p.Objects = 2000
-	p.SweepTopology = "Abilene"
-	return p
-}
-
-func BenchmarkTable2ZipfFit(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Table2(benchScale)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.Log("\n" + experiments.FormatTable2(rows))
-		}
+	p.TraceFile = filepath.Join(b.TempDir(), "asia.log")
+	f, err := os.Create(p.TraceFile)
+	if err != nil {
+		b.Fatal(err)
 	}
-}
-
-func BenchmarkFig1RankFrequency(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		series, err := experiments.Figure1Series(benchScale, 1000)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.Log("\n" + experiments.FormatFigure1(series, 8))
-		}
+	if err := trace.WriteLog(f, trace.Asia(0.003).Generate()); err != nil {
+		b.Fatal(err)
 	}
-}
-
-func BenchmarkFig2TreeModel(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows := experiments.Figure2()
-		if i == 0 {
-			b.Log("\n" + experiments.FormatFigure2(rows))
-		}
+	if err := f.Close(); err != nil {
+		b.Fatal(err)
 	}
-}
-
-func BenchmarkFig6Baseline(b *testing.B) {
-	p := benchParams()
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Figure6(p)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.Log("\n" + experiments.FormatFigure(rows))
-		}
-	}
-}
-
-func BenchmarkFig7Uniform(b *testing.B) {
-	p := benchParams()
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Figure7(p)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.Log("\n" + experiments.FormatFigure(rows))
-		}
-	}
-}
-
-func BenchmarkTable3SynthValidation(b *testing.B) {
-	p := benchParams()
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Table3(p)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.Log("\n" + experiments.FormatTable3(rows))
-		}
-	}
-}
-
-func BenchmarkFig8aAlphaSweep(b *testing.B) {
-	p := warmParams()
-	for i := 0; i < b.N; i++ {
-		pts, err := experiments.Figure8a(p, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.Log("\n" + experiments.FormatSweep("alpha", pts))
-		}
-	}
-}
-
-func BenchmarkFig8bBudgetSweep(b *testing.B) {
-	p := warmParams()
-	p.Objects = 200 // high warmth: the regime where the paper's peak shows
-	for i := 0; i < b.N; i++ {
-		pts, err := experiments.Figure8b(p, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.Log("\n" + experiments.FormatSweep("budget%", pts))
-		}
-	}
-}
-
-func BenchmarkFig8cSkewSweep(b *testing.B) {
-	p := warmParams()
-	for i := 0; i < b.N; i++ {
-		pts, err := experiments.Figure8c(p, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.Log("\n" + experiments.FormatSweep("skew", pts))
-		}
-	}
-}
-
-func BenchmarkTable4Arity(b *testing.B) {
-	p := warmParams()
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Table4(p)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.Log("\n" + experiments.FormatTable4(rows))
-		}
-	}
-}
-
-func BenchmarkFig9BestCase(b *testing.B) {
-	p := warmParams()
-	for i := 0; i < b.N; i++ {
-		steps, err := experiments.Figure9(p)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.Log("\n" + experiments.FormatFigure9(steps))
-		}
-	}
-}
-
-func BenchmarkFig10BridgeGap(b *testing.B) {
-	p := warmParams()
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Figure10(p)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.Log("\n" + experiments.FormatFigure10(rows))
-		}
-	}
-}
-
-func BenchmarkSensLatencyModels(b *testing.B) {
-	p := warmParams()
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.SensitivityLatencyModels(p)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.Log("\n" + experiments.FormatNamedGaps("model", rows))
-		}
-	}
-}
-
-func BenchmarkSensCapacity(b *testing.B) {
-	p := warmParams()
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.SensitivityCapacity(p, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.Log("\n" + experiments.FormatNamedGaps("capacity", rows))
-		}
-	}
-}
-
-func BenchmarkSensObjectSizes(b *testing.B) {
-	p := warmParams()
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.SensitivityObjectSizes(p)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.Log("\n" + experiments.FormatNamedGaps("sizes", rows))
-		}
-	}
-}
-
-func BenchmarkAblationUniverse(b *testing.B) {
-	p := warmParams()
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.AblationObjectUniverse(p, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.Log("\n" + experiments.FormatAblation(rows))
-		}
-	}
-}
-
-// BenchmarkSimulatorThroughput measures raw request-simulation rates for
-// the two extreme designs, in requests (not artifacts) per op.
-func BenchmarkSimulatorThroughput(b *testing.B) {
-	net := topo.NewNetwork(topo.Abilene(), 2, 5)
-	const objects = 5000
-	weights := net.Topo.PopulationWeights()
-	origins := trace.OriginAssignment(objects, weights, true, 3)
-	reqs := trace.NewSyntheticRequests(trace.StreamConfig{
-		Requests: 200000, Objects: objects, Alpha: 1.04,
-		PoPWeights: weights, Leaves: net.LeavesPerTree(), Seed: 7,
-	})
-	base := sim.Config{
-		Network: net, Objects: objects, Origins: origins,
-		BudgetFraction: 0.05, BudgetPolicy: sim.BudgetProportional,
-	}
-	for _, d := range []sim.Design{sim.EDGE, sim.ICNSP, sim.ICNNR} {
-		b.Run(d.Name, func(b *testing.B) {
-			cfg := d.Apply(base)
+	for _, e := range experiments.Registry {
+		b.Run(e.ID, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				e, err := sim.New(cfg)
+				out, err := e.Run(p)
 				if err != nil {
 					b.Fatal(err)
 				}
-				e.Run(reqs)
+				if i == 0 {
+					b.Log("\n" + out)
+				}
 			}
-			b.ReportMetric(float64(len(reqs))*float64(b.N)/b.Elapsed().Seconds(), "req/s")
 		})
 	}
 }
@@ -346,79 +133,4 @@ func BenchmarkShardedStream(b *testing.B) {
 	}
 	run(b, "", topo.ATT(), 4, 10000, sim.EDGE, []int{1, 2, 4})
 	run(b, "ICN-NR/Geant/", topo.Geant(), 5, 1000, sim.ICNNR, []int{1, 2})
-}
-
-// BenchmarkFig6TraceLike regenerates Figure 6 under the trace-like stream
-// (temporal locality 0.7), the configuration that recovers the paper's
-// reported magnitudes (EXPERIMENTS.md).
-func BenchmarkFig6TraceLike(b *testing.B) {
-	p := benchParams()
-	p.TemporalLocality = 0.7
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Figure6(p)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.Log("\n" + experiments.FormatFigure(rows))
-		}
-	}
-}
-
-// BenchmarkAblationLocality regenerates the reproduction's central
-// calibration sweep: NR-over-EDGE gap vs stream temporal locality.
-func BenchmarkAblationLocality(b *testing.B) {
-	p := benchParams()
-	for i := 0; i < b.N; i++ {
-		pts, err := experiments.AblationTemporalLocality(p, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.Log("\n" + experiments.FormatSweep("locality", pts))
-		}
-	}
-}
-
-// BenchmarkDepthProfile regenerates the simulated Figure 2 counterpart.
-func BenchmarkDepthProfile(b *testing.B) {
-	p := benchParams()
-	p.TemporalLocality = 0.7
-	for i := 0; i < b.N; i++ {
-		profiles, analytic, err := experiments.ServeDepthProfile(p)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.Log("\n" + experiments.FormatDepthProfile(profiles, analytic))
-		}
-	}
-}
-
-// BenchmarkFloodProtection regenerates the §7 flood-absorption comparison.
-func BenchmarkFloodProtection(b *testing.B) {
-	p := warmParams()
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.FloodProtection(p, 0.3)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.Log("\n" + experiments.FormatFlood(rows))
-		}
-	}
-}
-
-// BenchmarkIncrementalDeployment regenerates the §4.3 deployment ablation.
-func BenchmarkIncrementalDeployment(b *testing.B) {
-	p := warmParams()
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.AblationIncrementalDeployment(p, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.Log("\n" + experiments.FormatDeployment(rows))
-		}
-	}
 }

@@ -3,17 +3,15 @@
 //
 // Usage:
 //
-//	icnsim -exp table2|fig1|fig2|fig6|fig7|table3|fig8a|fig8b|fig8c|table4|fig9|fig10 \
-//	       [-scale 0.1] [-seed N] [-arity 2] [-depth 5] [-budget 0.05] \
+//	icnsim -exp <id>[,<id>...] [-scale 0.1] [-seed N] [-arity 2] [-depth 5] [-budget 0.05] \
 //	       [-alpha 1.04] [-objects N] [-sweep-topology ATT] [-workers N]
-//	icnsim -exp sens-latency|sens-capacity|sens-objsize|sens-policy|ablation-universe
-//	icnsim -exp all     # everything, in paper order
+//	icnsim -exp all     # every artifact, in paper order
 //	icnsim -policy arc -exp fig6    # run any experiment under a different cache policy
-//	icnsim -policy-sweep            # cache-policy zoo x placement/routing designs
 //	icnsim -failures 0,0.1,0.3,0.5   # degradation curve under cache/resolver outages
-//	icnsim -bench-json BENCH_sim.json   # hot-path perf log (ns/op, allocs/op)
+//	icnsim -stream 4000000 -stream-design EDGE   # one sharded streaming run
 //	icnsim -exp fig6 -metrics-json metrics.json   # observer histograms for the run
 //
+// The experiment ids are experiments.Registry's; `icnsim -h` lists them.
 // Scale 1 is paper scale (the 1.8M-request Asia workload); the default 0.05
 // finishes in minutes on a laptop core. Output is aligned text, one table
 // per experiment, matching the rows/series of the paper's evaluation.
@@ -26,11 +24,13 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -41,74 +41,64 @@ import (
 )
 
 func main() {
+	if err := icnsim(os.Args[1:]); err != nil {
+		fmt.Fprintf(os.Stderr, "icnsim: %v\n", err)
+		os.Exit(1)
+	}
+}
+
+// icnsim is the whole command: it parses args, runs the selected
+// experiments (or one streaming run), and returns the first error.
+func icnsim(args []string) (err error) {
+	fs := flag.NewFlagSet("icnsim", flag.ExitOnError)
 	var (
-		exp         = flag.String("exp", "all", "experiment id (see package comment)")
-		scale       = flag.Float64("scale", 0.05, "workload scale; 1 = paper scale")
-		seed        = flag.Int64("seed", 0, "override base seed (0 keeps the default)")
-		arity       = flag.Int("arity", 0, "override access-tree arity")
-		depth       = flag.Int("depth", 0, "override access-tree depth")
-		budget      = flag.Float64("budget", 0, "override per-router budget fraction F")
-		alpha       = flag.Float64("alpha", 0, "override Zipf alpha")
-		objects     = flag.Int("objects", 0, "override object-universe size")
-		sweepTopo   = flag.String("sweep-topology", "", "topology for the sensitivity sweeps (default ATT)")
-		policy      = flag.String("policy", "", "cache policy for every provisioned cache: lru, lfu, arc, car, tinylfu, tinylfu+arc, tinylfu+car (default lru)")
-		policySweep = flag.Bool("policy-sweep", false, "run the cache-policy x design sweep; shorthand for -exp policy-sweep")
-		locality    = flag.Float64("locality", 0, "temporal locality of the request stream (0=IID, ~0.7=trace-like)")
-		topoFile    = flag.String("topology-file", "", "load a custom sweep topology from a file (see internal/topo/parse.go for the format)")
-		traceFile   = flag.String("trace", "", "request log (tracegen format) for the trace-designs experiment")
-		failures    = flag.String("failures", "", "comma-separated cache-failure fractions for the degradation experiment (e.g. 0,0.1,0.3,0.5); implies -exp degradation")
-		seeds       = flag.Int("seeds", 5, "independent seeds for the variance experiment")
-		workers     = flag.Int("workers", 0, "parallel simulation workers (0 = GOMAXPROCS); results are identical at any count")
-		cpuprofile  = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memprofile  = flag.String("memprofile", "", "write a heap profile to this file on exit")
-		benchJSON   = flag.String("bench-json", "", "run the hot-path benchmarks and write ns/op + allocs/op JSON to this file, then exit")
-		benchAppend = flag.String("bench-append", "", "run the sharded-throughput benchmarks and append timestamped requests_per_sec records to this JSON file, then exit")
-		stream      = flag.Int64("stream", 0, "run one sharded streaming simulation over this many synthetic requests (or a -trace binary file) and print throughput + peak RSS, then exit")
-		users       = flag.Int("users", 0, "fixed user population for -stream synthetic workloads (0 = per-request sampling)")
-		epochLen    = flag.Int("epoch", 0, "epoch length in requests for sharded streaming runs (0 = default)")
-		ckptDir     = flag.String("checkpoint", "", "directory for periodic crash-safe checkpoints of the -stream run; resume with -resume")
-		ckptEvery   = flag.Int64("checkpoint-every", 25_000_000, "minimum requests between checkpoints (rounded up to epoch boundaries)")
-		ckptFsync   = flag.Bool("checkpoint-fsync", false, "fsync each checkpoint before publishing it (survives power loss, not just process crashes; slow on some filesystems)")
-		resume      = flag.Bool("resume", false, "resume the -stream run from the latest good checkpoint in -checkpoint (fresh start if none)")
-		streamDes   = flag.String("stream-design", "EDGE", "design for the -stream run (ICN-SP, ICN-NR, EDGE, EDGE-Coop, EDGE-Norm)")
-		metricsJSON = flag.String("metrics-json", "", "attach a metrics observer to every run and write its histograms (serve levels, latency, lookup hops, evictions) as JSON to this file; \"-\" writes to stdout")
+		exp         = fs.String("exp", "all", "experiments to run: all, or a comma-separated list of "+experimentIDs())
+		scale       = fs.Float64("scale", 0.05, "workload scale; 1 = paper scale")
+		seed        = fs.Int64("seed", 0, "override base seed (0 keeps the default)")
+		arity       = fs.Int("arity", 0, "override access-tree arity")
+		depth       = fs.Int("depth", 0, "override access-tree depth")
+		budget      = fs.Float64("budget", 0, "override per-router budget fraction F")
+		alpha       = fs.Float64("alpha", 0, "override Zipf alpha")
+		objects     = fs.Int("objects", 0, "override object-universe size")
+		sweepTopo   = fs.String("sweep-topology", "", "topology for the sensitivity sweeps (default ATT)")
+		policy      = fs.String("policy", "", "cache policy for every provisioned cache: lru, lfu, arc, car, tinylfu, tinylfu+arc, tinylfu+car (default lru)")
+		locality    = fs.Float64("locality", 0, "temporal locality of the request stream (0=IID, ~0.7=trace-like)")
+		topoFile    = fs.String("topology-file", "", "load a custom sweep topology from a file (see internal/topo/parse.go for the format)")
+		traceFile   = fs.String("trace", "", "request log (tracegen format) for the trace-designs experiment")
+		failures    = fs.String("failures", "", "comma-separated cache-failure fractions for the degradation experiment (e.g. 0,0.1,0.3,0.5); implies -exp degradation")
+		seeds       = fs.Int("seeds", 5, "independent seeds for the variance experiment")
+		workers     = fs.Int("workers", 0, "parallel simulation workers (0 = GOMAXPROCS); results are identical at any count")
+		cpuprofile  = fs.String("cpuprofile", "", "write a CPU profile to this file")
+		memprofile  = fs.String("memprofile", "", "write a heap profile to this file on exit")
+		stream      = fs.Int64("stream", 0, "run one sharded streaming simulation over this many synthetic requests (or a -trace binary file) and print throughput + peak RSS, then exit")
+		users       = fs.Int("users", 0, "fixed user population for -stream synthetic workloads (0 = per-request sampling)")
+		epochLen    = fs.Int("epoch", 0, "epoch length in requests for sharded streaming runs (0 = default)")
+		ckptDir     = fs.String("checkpoint", "", "directory for periodic crash-safe checkpoints of the -stream run; resume with -resume")
+		ckptEvery   = fs.Int64("checkpoint-every", 25_000_000, "minimum requests between checkpoints (rounded up to epoch boundaries)")
+		ckptFsync   = fs.Bool("checkpoint-fsync", false, "fsync each checkpoint before publishing it (survives power loss, not just process crashes; slow on some filesystems)")
+		resume      = fs.Bool("resume", false, "resume the -stream run from the latest good checkpoint in -checkpoint (fresh start if none)")
+		streamDes   = fs.String("stream-design", "EDGE", "design for the -stream run (ICN-SP, ICN-NR, EDGE, EDGE-Coop, EDGE-Norm)")
+		metricsJSON = fs.String("metrics-json", "", "attach a metrics observer to every run and write its histograms (serve levels, latency, lookup hops, evictions) as JSON to this file; \"-\" writes to stdout")
 	)
-	flag.Parse()
+	_ = fs.Parse(args) // ExitOnError: a bad flag exits inside Parse
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {
-			fatalf("icnsim: %v", err)
+			return err
 		}
 		defer f.Close()
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fatalf("icnsim: %v", err)
+			return err
 		}
 		defer pprof.StopCPUProfile()
 	}
 	if *memprofile != "" {
+		// Written on successful exits only.
 		defer func() {
-			f, err := os.Create(*memprofile)
-			if err != nil {
-				fatalf("icnsim: %v", err)
-			}
-			defer f.Close()
-			runtime.GC()
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fatalf("icnsim: %v", err)
+			if err == nil {
+				err = writeHeapProfile(*memprofile)
 			}
 		}()
-	}
-	if *benchJSON != "" {
-		if err := writeBenchJSON(*benchJSON); err != nil {
-			fatalf("icnsim: bench-json: %v", err)
-		}
-		return
-	}
-	if *benchAppend != "" {
-		if err := appendBenchJSON(*benchAppend); err != nil {
-			fatalf("icnsim: bench-append: %v", err)
-		}
-		return
 	}
 
 	p := experiments.DefaultParams(*scale)
@@ -140,11 +130,9 @@ func main() {
 		p.SweepTopology = *sweepTopo
 	}
 	if *policy != "" {
-		pol, err := sim.ParseCachePolicy(*policy)
-		if err != nil {
-			fatalf("icnsim: -policy: %v", err)
+		if p.Policy, err = sim.ParseCachePolicy(*policy); err != nil {
+			return fmt.Errorf("-policy: %w", err)
 		}
-		p.Policy = pol
 	}
 	if *locality != 0 {
 		p.TemporalLocality = *locality
@@ -152,63 +140,93 @@ func main() {
 	p.TraceFile = *traceFile
 	p.VarianceSeeds = *seeds
 	if *topoFile != "" {
-		tp, err := topo.LoadTopology(*topoFile)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "icnsim: %v\n", err)
-			os.Exit(1)
+		if p.CustomTopology, err = topo.LoadTopology(*topoFile); err != nil {
+			return err
 		}
-		p.CustomTopology = tp
 	}
 
 	if *workers > 0 {
 		fmt.Fprintf(os.Stderr, "icnsim: using %d workers\n", *workers)
 	}
 	if *resume && *ckptDir == "" {
-		fatalf("icnsim: -resume requires -checkpoint <dir>")
+		return errors.New("-resume requires -checkpoint <dir>")
 	}
 	if *stream > 0 || (*traceFile != "" && *exp == "all" && experiments.IsBinaryTrace(*traceFile)) {
 		// A sharded streaming run: synthetic (-stream N) or from a recorded
 		// binary trace (-trace FILE, alone or with -stream).
 		ck := streamCheckpointing{dir: *ckptDir, every: *ckptEvery, resume: *resume, fsync: *ckptFsync}
 		if err := runStreamScale(p, *stream, *users, *streamDes, *traceFile, *epochLen, ck); err != nil {
-			fatalf("icnsim: stream: %v", err)
+			return fmt.Errorf("stream: %w", err)
 		}
-		return
-	}
-	var failFractions []float64
-	if *failures != "" {
-		var err error
-		if failFractions, err = parseFractions(*failures); err != nil {
-			fatalf("icnsim: -failures: %v", err)
+	} else {
+		if *failures != "" {
+			if p.FailFractions, err = parseFractions(*failures); err != nil {
+				return fmt.Errorf("-failures: %w", err)
+			}
+			if *exp == "all" {
+				*exp = "degradation" // -failures alone runs just the degradation curve
+			}
 		}
-	}
-	ids := strings.Split(*exp, ",")
-	if *failures != "" && *exp == "all" {
-		// -failures alone runs just the degradation curve.
-		ids = []string{"degradation"}
-	} else if *policySweep && *exp == "all" {
-		// -policy-sweep alone runs just the policy x design sweep.
-		ids = []string{"policy-sweep"}
-	} else if *exp == "all" {
-		ids = []string{
-			"table2", "fig2", "fig6", "fig7", "table3",
-			"fig8a", "fig8b", "fig8c", "table4", "table4-norm", "fig9", "fig10",
-			"sens-latency", "sens-capacity", "sens-objsize", "sens-policy",
-			"policy-sweep",
-			"flood", "depth-profile", "degradation", "ablation-universe", "ablation-lookup", "ablation-deployment", "ablation-locality", "ablation-policy", "ablation-warmup", "ablation-coop",
+		todo, err := lookup(*exp)
+		if err != nil {
+			return err
 		}
-	}
-	for _, id := range ids {
-		if err := run(strings.TrimSpace(id), p, failFractions); err != nil {
-			fmt.Fprintf(os.Stderr, "icnsim: %s: %v\n", id, err)
-			os.Exit(1)
+		for _, e := range todo {
+			if err := runExperiment(e, p); err != nil {
+				return fmt.Errorf("%s: %w", e.ID, err)
+			}
 		}
 	}
 	if metrics != nil {
 		if err := writeMetricsJSON(*metricsJSON, metrics); err != nil {
-			fatalf("icnsim: metrics-json: %v", err)
+			return fmt.Errorf("metrics-json: %w", err)
 		}
 	}
+	return nil
+}
+
+// experimentIDs lists every registered id, for -exp's usage and errors.
+func experimentIDs() string {
+	ids := make([]string, len(experiments.Registry))
+	for i, e := range experiments.Registry {
+		ids[i] = e.ID
+	}
+	return strings.Join(ids, ", ")
+}
+
+// lookup resolves -exp: "all" is every registry entry not marked Extra, in
+// registry order; anything else is a comma-separated list of ids.
+func lookup(exp string) ([]experiments.Experiment, error) {
+	var todo []experiments.Experiment
+	if exp == "all" {
+		for _, e := range experiments.Registry {
+			if !e.Extra {
+				todo = append(todo, e)
+			}
+		}
+		return todo, nil
+	}
+	for _, id := range strings.Split(exp, ",") {
+		id = strings.TrimSpace(id)
+		i := slices.IndexFunc(experiments.Registry, func(e experiments.Experiment) bool { return e.ID == id })
+		if i < 0 {
+			return nil, fmt.Errorf("unknown experiment %q (want all or one of %s)", id, experimentIDs())
+		}
+		todo = append(todo, experiments.Registry[i])
+	}
+	return todo, nil
+}
+
+// runExperiment prints one artifact under its title, with a wall-clock
+// footer (kept here: the experiments package may not read the clock).
+func runExperiment(e experiments.Experiment, p experiments.Params) error {
+	start := time.Now()
+	out, err := e.Run(p)
+	if err != nil {
+		return err
+	}
+	fmt.Printf("== %s ==\n%s(%s, scale=%g)\n\n", e.Title, out, time.Since(start).Round(time.Millisecond), p.Scale)
+	return nil
 }
 
 // writeMetricsJSON dumps the observer's aggregated run-level histograms.
@@ -229,11 +247,14 @@ func writeMetricsJSON(path string, m *sim.MetricsObserver) error {
 	return nil
 }
 
-// fatalf reports err and exits. Deferred profile writers do not run on this
-// path; profiles are only written on successful exits.
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, format+"\n", args...)
-	os.Exit(1)
+func writeHeapProfile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	runtime.GC()
+	return pprof.WriteHeapProfile(f)
 }
 
 // parseFractions parses a comma-separated list of failure fractions.
@@ -244,237 +265,10 @@ func parseFractions(s string) ([]float64, error) {
 		if err != nil {
 			return nil, fmt.Errorf("bad fraction %q", part)
 		}
-		if f < 0 || f > 1 {
+		if !(f >= 0 && f <= 1) { // NaN fails both comparisons
 			return nil, fmt.Errorf("fraction %g outside [0,1]", f)
 		}
 		out = append(out, f)
 	}
 	return out, nil
-}
-
-func run(id string, p experiments.Params, failFractions []float64) error {
-	start := time.Now()
-	var out string
-	var title string
-	switch id {
-	case "table2":
-		title = "Table 2: Zipf fits of the three CDN vantage points"
-		rows, err := experiments.Table2(p.Scale)
-		if err != nil {
-			return err
-		}
-		out = experiments.FormatTable2(rows)
-	case "fig1":
-		title = "Figure 1: request popularity rank/frequency series"
-		series, err := experiments.Figure1Series(p.Scale, 0)
-		if err != nil {
-			return err
-		}
-		out = experiments.FormatFigure1(series, 20)
-	case "fig2":
-		title = "Figure 2: fraction of requests served per tree level (optimal placement)"
-		out = experiments.FormatFigure2(experiments.Figure2())
-	case "fig6":
-		title = "Figure 6: improvements over no caching (population-proportional budgets)"
-		rows, err := experiments.Figure6(p)
-		if err != nil {
-			return err
-		}
-		out = experiments.FormatFigure(rows)
-	case "fig7":
-		title = "Figure 7: improvements over no caching (uniform budgets)"
-		rows, err := experiments.Figure7(p)
-		if err != nil {
-			return err
-		}
-		out = experiments.FormatFigure(rows)
-	case "table3":
-		title = "Table 3: ICN-NR vs EDGE latency gap, trace vs best-fit synthetic"
-		rows, err := experiments.Table3(p)
-		if err != nil {
-			return err
-		}
-		out = experiments.FormatTable3(rows)
-	case "fig8a":
-		title = "Figure 8(a): NR-over-EDGE gap vs Zipf alpha"
-		pts, err := experiments.Figure8a(p, nil)
-		if err != nil {
-			return err
-		}
-		out = experiments.FormatSweep("alpha", pts)
-	case "fig8b":
-		title = "Figure 8(b): NR-over-EDGE gap vs per-router cache budget (%)"
-		pts, err := experiments.Figure8b(p, nil)
-		if err != nil {
-			return err
-		}
-		out = experiments.FormatSweep("budget%", pts)
-	case "fig8c":
-		title = "Figure 8(c): NR-over-EDGE gap vs spatial skew"
-		pts, err := experiments.Figure8c(p, nil)
-		if err != nil {
-			return err
-		}
-		out = experiments.FormatSweep("skew", pts)
-	case "table4":
-		title = "Table 4: NR-over-EDGE gains vs access-tree arity (64 leaves/tree)"
-		rows, err := experiments.Table4(p)
-		if err != nil {
-			return err
-		}
-		out = experiments.FormatTable4(rows)
-	case "table4-norm":
-		title = "Table 4 variant: arity sweep against EDGE-Norm (equal budgets)"
-		rows, err := experiments.Table4Normalized(p)
-		if err != nil {
-			return err
-		}
-		out = experiments.FormatTable4(rows)
-	case "fig9":
-		title = "Figure 9: progressive best case for ICN-NR"
-		steps, err := experiments.Figure9(p)
-		if err != nil {
-			return err
-		}
-		out = experiments.FormatFigure9(steps)
-	case "fig10":
-		title = "Figure 10: bridging the best-case gap with EDGE extensions"
-		rows, err := experiments.Figure10(p)
-		if err != nil {
-			return err
-		}
-		out = experiments.FormatFigure10(rows)
-	case "sens-latency":
-		title = "Sensitivity: latency models (§5.1)"
-		rows, err := experiments.SensitivityLatencyModels(p)
-		if err != nil {
-			return err
-		}
-		out = experiments.FormatNamedGaps("model", rows)
-	case "sens-capacity":
-		title = "Sensitivity: per-node serving capacity (§5.1)"
-		rows, err := experiments.SensitivityCapacity(p, nil)
-		if err != nil {
-			return err
-		}
-		out = experiments.FormatNamedGaps("capacity", rows)
-	case "sens-objsize":
-		title = "Sensitivity: heterogeneous object sizes (§5.1)"
-		rows, err := experiments.SensitivityObjectSizes(p)
-		if err != nil {
-			return err
-		}
-		out = experiments.FormatNamedGaps("sizes", rows)
-	case "policy-sweep":
-		title = "Policy sweep: cache-policy zoo x placement/routing designs"
-		rows, err := experiments.PolicySweep(p)
-		if err != nil {
-			return err
-		}
-		out = experiments.FormatPolicySweep(rows)
-	case "sens-policy":
-		title = "Sensitivity: LRU vs LFU cache management (§3)"
-		rows, err := experiments.SensitivityPolicy(p)
-		if err != nil {
-			return err
-		}
-		out = experiments.FormatNamedGaps("policy", rows)
-	case "flood":
-		title = "Flood protection (§7): origin-load absorption under a flash crowd"
-		rows, err := experiments.FloodProtection(p, 0.3)
-		if err != nil {
-			return err
-		}
-		out = experiments.FormatFlood(rows)
-	case "ablation-lookup":
-		title = "Ablation: charging nearest-replica lookup a latency cost (hops)"
-		pts, err := experiments.AblationLookupCost(p, nil)
-		if err != nil {
-			return err
-		}
-		out = experiments.FormatSweep("penalty", pts)
-	case "ablation-deployment":
-		title = "Ablation: incremental deployment (EDGE caches at a growing fraction of PoPs)"
-		rows, err := experiments.AblationIncrementalDeployment(p, nil)
-		if err != nil {
-			return err
-		}
-		out = experiments.FormatDeployment(rows)
-	case "ablation-locality":
-		title = "Ablation: temporal locality in the request stream vs NR-over-EDGE gap"
-		pts, err := experiments.AblationTemporalLocality(p, nil)
-		if err != nil {
-			return err
-		}
-		out = experiments.FormatSweep("locality", pts)
-	case "depth-profile":
-		title = "Serve-depth profile: where requests are served (simulated vs Figure 2 model)"
-		profiles, analytic, err := experiments.ServeDepthProfile(p)
-		if err != nil {
-			return err
-		}
-		out = experiments.FormatDepthProfile(profiles, analytic)
-	case "trace-designs":
-		title = "Trace-driven designs: five architectures on a request log file"
-		if p.TraceFile == "" {
-			return fmt.Errorf("trace-designs requires -trace <file>")
-		}
-		var rows []experiments.FigureRow
-		var err error
-		if experiments.IsBinaryTrace(p.TraceFile) {
-			rows, err = experiments.StreamDesigns(p, p.TraceFile)
-		} else {
-			rows, err = experiments.TraceDrivenDesigns(p, p.TraceFile)
-		}
-		if err != nil {
-			return err
-		}
-		out = experiments.FormatFigure(rows)
-	case "variance":
-		title = "Seed variance of the NR-over-EDGE gap"
-		rows, err := experiments.SeedVariance(p, p.VarianceSeeds)
-		if err != nil {
-			return err
-		}
-		out = experiments.FormatVariance(rows)
-	case "ablation-policy":
-		title = "Ablation: LRU/LFU vs Belady's offline optimum at the leaf caches"
-		rows, err := experiments.AblationPolicyOptimality(p)
-		if err != nil {
-			return err
-		}
-		out = experiments.FormatPolicyOptimality(rows)
-	case "ablation-coop":
-		title = "Ablation: cooperative search scope of EDGE vs the ICN-NR gap"
-		pts, err := experiments.AblationCoopScope(p, nil)
-		if err != nil {
-			return err
-		}
-		out = experiments.FormatSweep("scope", pts)
-	case "ablation-warmup":
-		title = "Ablation: warmup fraction excluded from metrics vs NR-over-EDGE gap"
-		pts, err := experiments.AblationWarmup(p, nil)
-		if err != nil {
-			return err
-		}
-		out = experiments.FormatSweep("warmup", pts)
-	case "degradation":
-		title = "Degradation curve: improvements under cache blackouts and resolver outage"
-		rows, err := experiments.DegradationCurve(p, failFractions)
-		if err != nil {
-			return err
-		}
-		out = experiments.FormatDegradation(rows)
-	case "ablation-universe":
-		title = "Ablation: object-universe size (workload warmth) vs design improvements"
-		rows, err := experiments.AblationObjectUniverse(p, nil)
-		if err != nil {
-			return err
-		}
-		out = experiments.FormatAblation(rows)
-	default:
-		return fmt.Errorf("unknown experiment %q", id)
-	}
-	fmt.Printf("== %s ==\n%s(%s, scale=%g)\n\n", title, out, time.Since(start).Round(time.Millisecond), p.Scale)
-	return nil
 }

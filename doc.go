@@ -8,7 +8,8 @@
 //     internal/treemodel) that evaluates the ICN design space — cache
 //     placement x request routing — on query latency, link congestion, and
 //     origin load, and regenerates every table and figure of the paper's
-//     evaluation (internal/experiments, cmd/icnsim, bench_test.go).
+//     evaluation (experiments.Registry in internal/experiments, run by
+//     cmd/icnsim and timed by BenchmarkExperiments in bench_test.go).
 //
 //   - idICN, the paper's incrementally deployable application-layer ICN
 //     (internal/idicn/...): self-certifying names, a name resolution

@@ -156,7 +156,7 @@ func TestFigure8cSkewKeepsGapPositive(t *testing.T) {
 	// The paper's skew-amplifies-NR effect needs its full-scale ATT setup
 	// (long core paths and warm leaves); at test scale we assert the sweep
 	// runs, stays positive, and moves the gap only modestly. The full trend
-	// is exercised by the paper-scale bench (BenchmarkFig8cSkewSweep).
+	// shows at larger scale (`icnsim -exp fig8c`; see EXPERIMENTS.md).
 	p := testParams()
 	points, err := Figure8c(p, []float64{0, 0.5, 1})
 	if err != nil {

@@ -66,9 +66,12 @@ type Params struct {
 	CustomTopology *topo.Topology
 
 	// TraceFile names a request log for TraceDrivenDesigns; VarianceSeeds
-	// sets the seed count for SeedVariance. Both are CLI conveniences.
+	// sets the seed count for SeedVariance; FailFractions sets the points
+	// of DegradationCurve (nil = its default). All are CLI conveniences
+	// the Registry entries read.
 	TraceFile     string
 	VarianceSeeds int
+	FailFractions []float64
 
 	// Workers bounds the parallel runner's pool for every batch an
 	// experiment launches; <= 0 means sim.DefaultWorkers(). cmd/icnsim

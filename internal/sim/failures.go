@@ -37,7 +37,7 @@ type FailureEpoch struct {
 
 func (p *FailurePlan) validate() error {
 	for i, ep := range p.Epochs {
-		if ep.FailFraction < 0 || ep.FailFraction > 1 {
+		if !(ep.FailFraction >= 0 && ep.FailFraction <= 1) { // NaN fails both
 			return fmt.Errorf("sim: epoch %d FailFraction %g outside [0,1]", i, ep.FailFraction)
 		}
 		if ep.Start < 0 {

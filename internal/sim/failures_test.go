@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -12,6 +13,7 @@ func TestFailurePlanValidation(t *testing.T) {
 	for name, plan := range map[string]*FailurePlan{
 		"fraction>1":     {Epochs: []FailureEpoch{{FailFraction: 1.5}}},
 		"fraction<0":     {Epochs: []FailureEpoch{{FailFraction: -0.1}}},
+		"fraction NaN":   {Epochs: []FailureEpoch{{FailFraction: math.NaN()}}},
 		"negative start": {Epochs: []FailureEpoch{{Start: -1}}},
 		"non-increasing": {Epochs: []FailureEpoch{{Start: 5}, {Start: 5}}},
 	} {

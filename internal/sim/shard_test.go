@@ -272,7 +272,7 @@ func TestShardServeRequestAllocationFree(t *testing.T) {
 }
 
 // BenchmarkRunStreamEdgeAbilene measures sharded streaming throughput on
-// the same workload as BenchmarkRunEdgeAbilene, for a like-for-like
+// the same workload as BenchmarkRunAbilene/EDGE, for a like-for-like
 // comparison against the sequential engine.
 func BenchmarkRunStreamEdgeAbilene(b *testing.B) {
 	net := topo.NewNetwork(topo.Abilene(), 2, 5)

@@ -626,7 +626,9 @@ func TestServeAccountingQuick(t *testing.T) {
 	}
 }
 
-func BenchmarkRunICNNRAbilene(b *testing.B) {
+// BenchmarkRunAbilene times one whole unsharded Engine.Run (engine build
+// included) over a 100k-request Abilene stream, per design, in req/s.
+func BenchmarkRunAbilene(b *testing.B) {
 	net := topo.NewNetwork(topo.Abilene(), 2, 5)
 	const objects = 5000
 	weights := net.Topo.PopulationWeights()
@@ -635,40 +637,22 @@ func BenchmarkRunICNNRAbilene(b *testing.B) {
 		Requests: 100000, Objects: objects, Alpha: 1.04,
 		PoPWeights: weights, Leaves: net.LeavesPerTree(), Seed: 7,
 	})
-	cfg := ICNNR.Apply(Config{
+	base := Config{
 		Network: net, Objects: objects, Origins: origins,
 		BudgetFraction: 0.05, BudgetPolicy: BudgetProportional,
-	})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e, err := New(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		e.Run(reqs)
 	}
-}
-
-func BenchmarkRunEdgeAbilene(b *testing.B) {
-	net := topo.NewNetwork(topo.Abilene(), 2, 5)
-	const objects = 5000
-	weights := net.Topo.PopulationWeights()
-	origins := trace.OriginAssignment(objects, weights, true, 3)
-	reqs := trace.NewSyntheticRequests(trace.StreamConfig{
-		Requests: 100000, Objects: objects, Alpha: 1.04,
-		PoPWeights: weights, Leaves: net.LeavesPerTree(), Seed: 7,
-	})
-	cfg := EDGE.Apply(Config{
-		Network: net, Objects: objects, Origins: origins,
-		BudgetFraction: 0.05, BudgetPolicy: BudgetProportional,
-	})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e, err := New(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		e.Run(reqs)
+	for _, d := range []Design{EDGE, ICNSP, ICNNR} {
+		b.Run(d.Name, func(b *testing.B) {
+			cfg := d.Apply(base)
+			for i := 0; i < b.N; i++ {
+				e, err := New(cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				e.Run(reqs)
+			}
+			b.ReportMetric(float64(len(reqs))*float64(b.N)/b.Elapsed().Seconds(), "req/s")
+		})
 	}
 }
 
