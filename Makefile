@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: check fmtcheck lint vet build test race bench-smoke chaos-smoke overload-smoke crash-smoke alloc-gate bench bench-all clean
+.PHONY: check fmtcheck lint vet build test race bench-smoke chaos-smoke overload-smoke alloc-gate bench bench-all clean
 
-check: fmtcheck lint vet build test race chaos-smoke overload-smoke crash-smoke bench-smoke
+check: fmtcheck lint vet build test race chaos-smoke overload-smoke bench-smoke
 
 # The serve-path allocation gate, shared by bench-smoke and the Makefile
 # test in alloc_gate_test.go. `go test -benchmem` reports allocs/op as a
@@ -85,12 +85,6 @@ chaos-smoke:
 # park-to-timeout), leave zero stuck goroutines, and drain cleanly.
 overload-smoke:
 	$(GO) test -race -count=1 -run '^TestOverloadSurge$$' ./internal/idicn/integration
-
-# The crash-safety drill under the race detector: kill the streaming sim
-# after every on-disk checkpoint in turn (including torn-file cases) and
-# require the resumed Result to be bit-identical to an uninterrupted run.
-crash-smoke:
-	$(GO) test -race -count=1 -run '^TestCrashResumeDrill' ./internal/checkpoint
 
 # Append the daemon overload series (admitted/sec and p99 queue wait at 1x/2x/4x
 # offered load, plus a load-under-chaos point that must engage the brownout

@@ -24,7 +24,6 @@ package main
 
 import (
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -73,10 +72,6 @@ func icnsim(args []string) (err error) {
 		stream      = fs.Int64("stream", 0, "run one sharded streaming simulation over this many synthetic requests (or a -trace binary file) and print throughput + peak RSS, then exit")
 		users       = fs.Int("users", 0, "fixed user population for -stream synthetic workloads (0 = per-request sampling)")
 		epochLen    = fs.Int("epoch", 0, "epoch length in requests for sharded streaming runs (0 = default)")
-		ckptDir     = fs.String("checkpoint", "", "directory for periodic crash-safe checkpoints of the -stream run; resume with -resume")
-		ckptEvery   = fs.Int64("checkpoint-every", 25_000_000, "minimum requests between checkpoints (rounded up to epoch boundaries)")
-		ckptFsync   = fs.Bool("checkpoint-fsync", false, "fsync each checkpoint before publishing it (survives power loss, not just process crashes; slow on some filesystems)")
-		resume      = fs.Bool("resume", false, "resume the -stream run from the latest good checkpoint in -checkpoint (fresh start if none)")
 		streamDes   = fs.String("stream-design", "EDGE", "design for the -stream run (ICN-SP, ICN-NR, EDGE, EDGE-Coop, EDGE-Norm)")
 		metricsJSON = fs.String("metrics-json", "", "attach a metrics observer to every run and write its histograms (serve levels, latency, lookup hops, evictions) as JSON to this file; \"-\" writes to stdout")
 	)
@@ -148,14 +143,10 @@ func icnsim(args []string) (err error) {
 	if *workers > 0 {
 		fmt.Fprintf(os.Stderr, "icnsim: using %d workers\n", *workers)
 	}
-	if *resume && *ckptDir == "" {
-		return errors.New("-resume requires -checkpoint <dir>")
-	}
 	if *stream > 0 || (*traceFile != "" && *exp == "all" && experiments.IsBinaryTrace(*traceFile)) {
 		// A sharded streaming run: synthetic (-stream N) or from a recorded
 		// binary trace (-trace FILE, alone or with -stream).
-		ck := streamCheckpointing{dir: *ckptDir, every: *ckptEvery, resume: *resume, fsync: *ckptFsync}
-		if err := runStreamScale(p, *stream, *users, *streamDes, *traceFile, *epochLen, ck); err != nil {
+		if err := runStreamScale(p, *stream, *users, *streamDes, *traceFile, *epochLen); err != nil {
 			return fmt.Errorf("stream: %w", err)
 		}
 	} else {

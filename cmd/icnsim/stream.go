@@ -1,38 +1,24 @@
 package main
 
 import (
-	"errors"
 	"fmt"
 	"os"
 	"strconv"
 	"strings"
 	"time"
 
-	"idicn/internal/checkpoint"
 	"idicn/internal/experiments"
 	"idicn/internal/sim"
 	"idicn/internal/topo"
 	"idicn/internal/trace"
 )
 
-// streamCheckpointing carries the -checkpoint/-checkpoint-every/-resume
-// flags into the streaming run.
-type streamCheckpointing struct {
-	dir    string
-	every  int64
-	resume bool
-	fsync  bool
-}
-
 // runStreamScale executes one sharded streaming run at production scale:
 // the workload is either a recorded binary trace (-trace) or a synthetic
 // stream generated on the fly, so request count is unbounded by RAM. It
 // prints the merged result summary plus throughput and peak-RSS figures —
-// the numbers behind EXPERIMENTS.md's "Scale" section. With ck.dir set the
-// run writes periodic crash-safe checkpoints, and with ck.resume it first
-// continues from the latest good one, yielding a final Result bit-identical
-// to an uninterrupted run.
-func runStreamScale(p experiments.Params, requests int64, users int, designName, traceFile string, epochLen int, ck streamCheckpointing) error {
+// the numbers behind EXPERIMENTS.md's "Scale" section.
+func runStreamScale(p experiments.Params, requests int64, users int, designName, traceFile string, epochLen int) error {
 	design, ok := designByName(designName)
 	if !ok {
 		return fmt.Errorf("unknown design %q (want one of %s)", designName, designNames())
@@ -108,52 +94,6 @@ func runStreamScale(p experiments.Params, requests int64, users int, designName,
 		Policy:         p.Policy,
 	})
 	opt := sim.StreamOptions{Workers: p.Workers, EpochLen: epochLen, Observer: p.Observer}
-
-	if ck.dir != "" {
-		// Everything that shapes the stream of requests or the simulated
-		// network is part of the checkpoint's identity: resuming under any
-		// other configuration must be refused, not silently blended.
-		effEpoch := epochLen
-		if effEpoch <= 0 {
-			effEpoch = sim.DefaultEpochLen
-		}
-		fp := checkpoint.Fingerprint(
-			tp.Name, fmt.Sprint(p.Arity), fmt.Sprint(p.Depth), design.Name,
-			fmt.Sprint(objects), fmt.Sprint(requests), fmt.Sprint(users),
-			fmt.Sprint(p.Seed), fmt.Sprint(p.Alpha), fmt.Sprint(p.SpatialSkew),
-			fmt.Sprint(p.TemporalLocality), fmt.Sprint(p.BudgetFraction),
-			fmt.Sprint(int(p.BudgetPolicy)), p.Policy.String(), traceFile,
-			fmt.Sprint(effEpoch),
-		)
-		store, err := checkpoint.NewStore(ck.dir, fp, 2)
-		if err != nil {
-			return err
-		}
-		store.SetFsync(ck.fsync)
-		// Persist asynchronously: the frozen state is a deep copy, so the
-		// encode+fsync overlaps the next epochs instead of stalling the
-		// barrier. Wait drains the final in-flight save after the run.
-		saver := checkpoint.NewAsyncSaver(store)
-		defer func() {
-			if werr := saver.Wait(); werr != nil {
-				fmt.Fprintf(os.Stderr, "icnsim: final checkpoint: %v\n", werr)
-			}
-		}()
-		opt.Checkpoint = saver.Save
-		opt.CheckpointEvery = ck.every
-		if ck.resume {
-			st, path, err := store.Latest()
-			switch {
-			case errors.Is(err, checkpoint.ErrNoCheckpoint):
-				fmt.Fprintf(os.Stderr, "icnsim: no checkpoint in %s, starting fresh\n", ck.dir)
-			case err != nil:
-				return err
-			default:
-				fmt.Fprintf(os.Stderr, "icnsim: resuming from %s (request %d)\n", path, st.Requests)
-				opt.Resume = st
-			}
-		}
-	}
 
 	workers := opt.Workers
 	if workers <= 0 {

@@ -7,15 +7,13 @@ import (
 
 // determinismScopes are the packages whose results must be exactly
 // reproducible from a seed: the simulator, the cache-policy zoo it
-// provisions, the checkpoint codec and store (a resumed run must be
-// bit-identical to an uninterrupted one), the experiment sweeps, the
-// fault-injection harness, and the trace generators/codecs feeding them.
+// provisions, the experiment sweeps, the fault-injection harness, and the
+// trace generators/codecs feeding them.
 // Randomness there must flow from an injected seeded *rand.Rand, never the
 // wall clock or the global generator.
 var determinismScopes = []string{
 	"idicn/internal/sim",
 	"idicn/internal/cache",
-	"idicn/internal/checkpoint",
 	"idicn/internal/experiments",
 	"idicn/internal/faults",
 	"idicn/internal/trace",

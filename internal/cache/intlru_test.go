@@ -1,8 +1,6 @@
 package cache
 
 import (
-	"bytes"
-	"encoding/hex"
 	"fmt"
 	"math"
 	"math/rand"
@@ -218,45 +216,6 @@ func TestIntIndexMatchesMap(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// listLayoutSnapshot is IntLRU.AppendState of the sequence in
-// TestIntLRUSnapshotMatchesListLayout as written by the previous layout (a
-// map plus a doubly linked recency list). The byte format is unchanged, so
-// this layout writes the same bytes (which the old one restores) and
-// restores the old bytes.
-const listLayoutSnapshot = "0108020a081a0e5405feffffff0f1612ffffffff0f"
-
-func TestIntLRUSnapshotMatchesListLayout(t *testing.T) {
-	c := NewIntLRU(8, nil)
-	for i, obj := range []int32{5, -3, 1 << 30, 7, 5, math.MinInt32, 9, 11, math.MaxInt32, -3, 42, 7, 13} {
-		if i%3 == 0 {
-			c.Lookup(obj)
-		}
-		c.Insert(obj)
-	}
-	c.Lookup(99)
-	old, err := hex.DecodeString(listLayoutSnapshot)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if blob := c.AppendState(nil); !bytes.Equal(blob, old) {
-		t.Fatalf("AppendState = %x, previous layout wrote %s", blob, listLayoutSnapshot)
-	}
-	restored := NewIntLRU(8, nil)
-	if rest, err := restored.RestoreState(old); err != nil || len(rest) != 0 {
-		t.Fatalf("RestoreState: rest %d bytes, err %v", len(rest), err)
-	}
-	want := []int32{13, 7, 42, -3, math.MaxInt32, 11, 9, math.MinInt32}
-	if got := restored.Keys(); !slices.Equal(got, want) {
-		t.Fatalf("restored Keys = %v, want %v", got, want)
-	}
-	if h, m := restored.Stats(); h != 1 || m != 5 {
-		t.Fatalf("restored Stats = %d,%d, want 1,5", h, m)
-	}
-	if blob := restored.AppendState(nil); !bytes.Equal(blob, old) {
-		t.Fatalf("re-serialized state = %x, want %s", blob, listLayoutSnapshot)
 	}
 }
 

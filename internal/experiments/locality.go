@@ -20,7 +20,7 @@ func AblationTemporalLocality(p Params, localities []float64) ([]SweepPoint, err
 	tp := p.sweepTopology()
 	net, requests, objects := p.buildNet(tp)
 	weights := tp.PopulationWeights()
-	origins := trace.OriginAssignment(objects, weights, p.OriginProportional, p.Seed+1)
+	base := p.baseConfig(tp, net, objects)
 
 	cfgs := make([]sim.Config, len(localities))
 	reqss := make([][]sim.Request, len(localities))
@@ -35,13 +35,7 @@ func AblationTemporalLocality(p Params, localities []float64) ([]SweepPoint, err
 			Seed:             p.Seed + 2,
 			TemporalLocality: q,
 		})
-		cfgs[i] = sim.Config{
-			Network:        net,
-			Objects:        objects,
-			Origins:        origins,
-			BudgetFraction: p.BudgetFraction,
-			BudgetPolicy:   p.BudgetPolicy,
-		}
+		cfgs[i] = base
 	}
 	gaps, err := gapBatch(nrEdgeCases(cfgs, reqss), p.simOptions())
 	if err != nil {

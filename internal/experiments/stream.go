@@ -41,15 +41,7 @@ func StreamDesigns(p Params, path string) ([]FigureRow, error) {
 			path, meta.PoPs, meta.Leaves, net.PoPs(), net.LeavesPerTree())
 	}
 
-	weights := tp.PopulationWeights()
-	origins := trace.OriginAssignment(meta.Objects, weights, p.OriginProportional, p.Seed+1)
-	cfg := sim.Config{
-		Network:        net,
-		Objects:        meta.Objects,
-		Origins:        origins,
-		BudgetFraction: p.BudgetFraction,
-		BudgetPolicy:   p.BudgetPolicy,
-	}
+	cfg := p.baseConfig(tp, net, meta.Objects)
 	opt := sim.StreamOptions{Workers: p.Workers, Observer: p.Observer}
 
 	runOne := func(c sim.Config) (sim.Result, error) {

@@ -101,14 +101,7 @@ func Table3(p Params) ([]Table3Row, error) {
 	for _, tp := range tops {
 		net := topo.NewNetwork(tp, p.Arity, p.Depth)
 		weights := tp.PopulationWeights()
-		origins := trace.OriginAssignment(objects, weights, p.OriginProportional, p.Seed+1)
-		cfg := sim.Config{
-			Network:        net,
-			Objects:        objects,
-			Origins:        origins,
-			BudgetFraction: p.BudgetFraction,
-			BudgetPolicy:   p.BudgetPolicy,
-		}
+		cfg := p.baseConfig(tp, net, objects)
 		traceReqs := trace.FromRecords(log, weights, net.LeavesPerTree(), p.Seed+3)
 		synthReqs := trace.NewSyntheticRequests(trace.StreamConfig{
 			Requests:   requests,

@@ -38,15 +38,7 @@ func TraceDrivenDesigns(p Params, logPath string) ([]FigureRow, error) {
 	net, _, _ := p.buildNet(tp)
 	weights := tp.PopulationWeights()
 	reqs := trace.FromRecords(records, weights, net.LeavesPerTree(), p.Seed+3)
-	origins := trace.OriginAssignment(objects, weights, p.OriginProportional, p.Seed+1)
-	cfg := sim.Config{
-		Network:        net,
-		Objects:        objects,
-		Origins:        origins,
-		BudgetFraction: p.BudgetFraction,
-		BudgetPolicy:   p.BudgetPolicy,
-	}
-	results, err := sim.Compare(cfg, sim.BaselineDesigns(), reqs, p.simOptions())
+	results, err := sim.Compare(p.baseConfig(tp, net, objects), sim.BaselineDesigns(), reqs, p.simOptions())
 	if err != nil {
 		return nil, err
 	}

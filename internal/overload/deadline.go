@@ -2,6 +2,7 @@ package overload
 
 import (
 	"context"
+	"math"
 	"net/http"
 	"strconv"
 	"time"
@@ -37,7 +38,9 @@ func HeaderDeadline(h http.Header) (time.Duration, bool) {
 		return 0, false
 	}
 	ms, err := strconv.ParseFloat(v, 64)
-	if err != nil || ms < 0 {
+	// The negated form also rejects NaN; the upper bound rejects +Inf and
+	// budgets whose nanosecond count would overflow a Duration.
+	if err != nil || !(ms >= 0 && ms*float64(time.Millisecond) < math.MaxInt64) {
 		return 0, false
 	}
 	return time.Duration(ms * float64(time.Millisecond)), true

@@ -34,7 +34,7 @@ func TestDeadlineHeaderAbsentWithoutDeadline(t *testing.T) {
 }
 
 func TestDeadlineHeaderMalformed(t *testing.T) {
-	for _, v := range []string{"bogus", "-5", "1e999x", ""} {
+	for _, v := range []string{"bogus", "-5", "1e999x", "", "NaN", "Inf", "-Inf", "1e300", "9.3e12"} {
 		h := http.Header{}
 		if v != "" {
 			h.Set(DeadlineHeader, v)
@@ -43,6 +43,22 @@ func TestDeadlineHeaderMalformed(t *testing.T) {
 			t.Fatalf("HeaderDeadline accepted %q", v)
 		}
 	}
+}
+
+// FuzzHeaderDeadline: whatever a peer sends, an accepted budget is never
+// negative, so a garbled header cannot arrive as an already-expired
+// deadline.
+func FuzzHeaderDeadline(f *testing.F) {
+	for _, v := range []string{"250", "12.5", "0", "-5", "NaN", "Inf", "1e300", "9.3e12", "9.2e12", "bogus"} {
+		f.Add(v)
+	}
+	f.Fuzz(func(t *testing.T, v string) {
+		h := http.Header{}
+		h.Set(DeadlineHeader, v)
+		if d, ok := HeaderDeadline(h); ok && d < 0 {
+			t.Fatalf("HeaderDeadline(%q) = %v, ok", v, d)
+		}
+	})
 }
 
 func TestContextWithHeaderDeadline(t *testing.T) {

@@ -74,6 +74,27 @@ func TestMiddlewareShedsExhaustedDeadline(t *testing.T) {
 	}
 }
 
+// TestMiddlewareAdmitsGarbledDeadline: a budget that does not parse as a
+// finite, in-range number is ignored, not read as already expired — no
+// shed and no brownout pressure.
+func TestMiddlewareAdmitsGarbledDeadline(t *testing.T) {
+	c := NewController(Config{})
+	h := c.Middleware(okHandler())
+	req := httptest.NewRequest(http.MethodGet, "/", nil)
+	req.Header.Set(DeadlineHeader, "NaN")
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, req)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("status = %d, want 200", rec.Code)
+	}
+	if got := c.Admitted(); got != 1 {
+		t.Fatalf("admitted = %d, want 1", got)
+	}
+	if got := c.Shed(); got != 0 {
+		t.Fatalf("shed = %d, want 0", got)
+	}
+}
+
 // TestMiddlewareShedsQueueFull: with the single slot occupied and the
 // one-deep queue holding a waiter, the next request is rejected with 503 +
 // Retry-After in well under its budget — shed at the queue, not parked.

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"math/rand"
-	"reflect"
 	"slices"
 	"sync"
 	"testing"
@@ -394,90 +393,6 @@ func TestNearestMatchesFullMirrorRandom(t *testing.T) {
 			}
 		})
 	}
-}
-
-// TestFreezeEmitsOneReplicaTableEqualToSharedIndex pins the checkpoint
-// format across the index redesign: StreamState.Replicas is still a single
-// table — per object, the sorted ids of the nodes caching it at the barrier —
-// so checkpoints written by the mirror implementation keep resuming. Thawing
-// it rebuilds both the shared index and every shard's own-PoP slice.
-func TestFreezeEmitsOneReplicaTableEqualToSharedIndex(t *testing.T) {
-	cfg, reqs := nrStreamWorkload(t, topo.Geant(), 12000)
-	engines, shared, err := newShardedEngines(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	per := make([][]Request, len(engines))
-	const epochLen = 3000
-	for start := 0; start < len(reqs); start += epochLen {
-		partitionEpoch(per, reqs[start:start+epochLen])
-		runEpoch(engines, per, 2)
-		exchange(engines, shared)
-	}
-	st, err := freezeStream(engines, shared, trace.StreamPos{}, int64(len(reqs)), epochLen, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(st.Replicas) != cfg.Objects {
-		t.Fatalf("Replicas has %d rows for %d objects", len(st.Replicas), cfg.Objects)
-	}
-	replicas := 0
-	for obj, row := range st.Replicas {
-		// Ground truth, independent of any index: which caches hold obj.
-		var cached []int32
-		for _, e := range engines {
-			for n, c := range e.caches {
-				if c != nil && c.Contains(int32(obj)) {
-					cached = append(cached, int32(n))
-				}
-			}
-		}
-		if !slices.Equal(row, cached) {
-			t.Fatalf("object %d: Replicas row %v, caches actually holding it %v", obj, row, cached)
-		}
-		sharedRow := shared.replicas.perObj[obj]
-		if len(row) != len(sharedRow) {
-			t.Fatalf("object %d: Replicas row %v != shared index row %v", obj, row, sharedRow)
-		}
-		for i, n := range row {
-			if topo.NodeID(n) != sharedRow[i] {
-				t.Fatalf("object %d: Replicas row %v != shared index row %v", obj, row, sharedRow)
-			}
-		}
-		replicas += len(row)
-	}
-	if replicas == 0 {
-		t.Fatal("no replicas at the barrier; the workload exercises nothing")
-	}
-
-	fresh, freshShared, err := newShardedEngines(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := thawStream(fresh, freshShared, st); err != nil {
-		t.Fatal(err)
-	}
-	// Thaw leaves empty rows nil; so does an index that never saw the object.
-	if !reflect.DeepEqual(nonEmptyRows(freshShared.replicas), nonEmptyRows(shared.replicas)) {
-		t.Fatal("thawed shared index differs from the frozen one")
-	}
-	for p := range fresh {
-		if !reflect.DeepEqual(nonEmptyRows(fresh[p].replicas), nonEmptyRows(engines[p].replicas)) {
-			t.Fatalf("shard %d: thawed own-PoP index differs from the frozen run's", p)
-		}
-	}
-	checkOwnIndexInRange(t, fresh)
-	checkSharedEqualsOwn(t, fresh, freshShared)
-}
-
-func nonEmptyRows(ri *replicaIndex) map[int][]topo.NodeID {
-	rows := map[int][]topo.NodeID{}
-	for obj, row := range ri.perObj {
-		if len(row) > 0 {
-			rows[obj] = row
-		}
-	}
-	return rows
 }
 
 // TestCapacityCountersAgreeAfterEveryBarrier pins what the barrier's

@@ -28,23 +28,6 @@ type StreamOptions struct {
 	// Observer receives events from every shard. Since shards run
 	// concurrently, a non-nil Observer must be safe for concurrent use.
 	Observer Observer
-
-	// Checkpoint, when non-nil, is invoked at epoch barriers with the run's
-	// complete frozen state; a non-nil error aborts the run. Requires src to
-	// implement trace.ResumableStream (the state must include an exact trace
-	// position). The callback runs on the simulation goroutine — the whole
-	// run is paused while it persists the state.
-	Checkpoint func(*StreamState) error
-	// CheckpointEvery is the minimum number of requests between Checkpoint
-	// calls; <= 0 checkpoints at every barrier. The actual spacing rounds up
-	// to epoch boundaries.
-	CheckpointEvery int64
-	// Resume, when non-nil, restores a state captured by Checkpoint and
-	// continues the run from it. The Config and EpochLen must be identical
-	// to the checkpointed run's, and src must implement
-	// trace.ResumableStream; the final Result is then bit-identical to an
-	// uninterrupted run's at any worker count.
-	Resume *StreamState
 }
 
 // remoteOp is one buffered effect on a node owned by another shard: a serve
@@ -270,7 +253,6 @@ func (e *Engine) clearRootBit(pop int, obj int32) {
 type epochBatch struct {
 	start, end int64 // request indices [start, end)
 	per        [][]Request
-	pos        trace.StreamPos // stream position at end, when checkpointing
 	err        error
 	eof        bool
 }
@@ -309,39 +291,8 @@ func RunStream(cfg Config, src trace.Stream, opt StreamOptions) (Result, error) 
 	plan := engines[0].cfg.FailurePlan
 	capWindow := int64(engines[0].cfg.CapacityWindow)
 
-	// Checkpointing needs the reader to capture exact trace positions, and
-	// resuming needs to seek to one; both require a resumable stream.
-	var rsrc trace.ResumableStream
-	if opt.Checkpoint != nil || opt.Resume != nil {
-		rs, ok := src.(trace.ResumableStream)
-		if !ok {
-			return Result{}, fmt.Errorf("sim: checkpoint/resume requires a resumable trace stream, got %T", src)
-		}
-		rsrc = rs
-	}
-
 	var snaps []*snapshot
 	var total int64
-	var resumeAt int64
-	if opt.Resume != nil {
-		st := opt.Resume
-		if st.EpochLen != epochLen {
-			return Result{}, fmt.Errorf("sim: checkpoint epoch length %d, run uses %d (EpochLen is part of a streaming result's identity)", st.EpochLen, epochLen)
-		}
-		snaps, err = thawStream(engines, shared, st)
-		if err != nil {
-			return Result{}, err
-		}
-		if err := rsrc.SeekPos(st.TracePos); err != nil {
-			return Result{}, fmt.Errorf("sim: resuming trace stream: %w", err)
-		}
-		total, resumeAt = st.Requests, st.Requests
-	}
-	ckptEvery := opt.CheckpointEvery
-	if ckptEvery <= 0 {
-		ckptEvery = 1
-	}
-	lastCkpt := resumeAt
 
 	// The reader goroutine fills epoch batches ahead of the simulation;
 	// the free list bounds it to a handful of epochs in flight.
@@ -351,22 +302,19 @@ func RunStream(cfg Config, src trace.Stream, opt StreamOptions) (Result, error) 
 		free <- &epochBatch{per: per}
 	}
 	ready := make(chan *epochBatch, cap(free))
-	// stop aborts the reader mid-stream when the simulation side fails (a
-	// checkpoint write error): batches stop coming back to the free list, so
-	// without it the reader would block there forever.
-	stop := make(chan struct{})
+	// The simulation side consumes batches up to the reader's last one (end
+	// of stream or an error), returning each to the free list, so the reader
+	// never blocks for good; wg bounds its lifetime to the run.
+	var wg sync.WaitGroup
+	wg.Add(1)
 	go func() {
+		defer wg.Done()
 		defer close(ready)
-		pos := resumeAt
+		var pos int64
 		epIdx := 0
 		var q Request
 		for {
-			var b *epochBatch
-			select {
-			case b = <-free:
-			case <-stop:
-				return
-			}
+			b := <-free
 			b.start, b.err, b.eof = pos, nil, false
 			for p := range b.per {
 				b.per[p] = b.per[p][:0]
@@ -399,13 +347,6 @@ func RunStream(cfg Config, src trace.Stream, opt StreamOptions) (Result, error) 
 				pos++
 			}
 			b.end = pos
-			if opt.Checkpoint != nil {
-				// Captured here, not at the barrier: the reader prefetches
-				// batches ahead of the simulation, so the live stream position
-				// at barrier time belongs to a later epoch. The channel send
-				// below orders this write before the consumer's read.
-				b.pos = rsrc.Pos()
-			}
 			ready <- b
 			if b.eof {
 				return
@@ -438,17 +379,6 @@ func RunStream(cfg Config, src trace.Stream, opt StreamOptions) (Result, error) 
 			runEpoch(engines, b.per, workers)
 			exchange(engines, shared)
 			total = b.end
-			if opt.Checkpoint != nil && b.end-lastCkpt >= ckptEvery {
-				st, err := freezeStream(engines, shared, b.pos, b.end, epochLen, snaps)
-				if err == nil {
-					err = opt.Checkpoint(st)
-				}
-				if err != nil {
-					runErr = fmt.Errorf("sim: checkpoint at request %d: %w", b.end, err)
-					break
-				}
-				lastCkpt = b.end
-			}
 		}
 		eof := b.eof
 		select {
@@ -459,10 +389,10 @@ func RunStream(cfg Config, src trace.Stream, opt StreamOptions) (Result, error) 
 			break
 		}
 	}
-	close(stop)
 	for range ready {
 		// Drain so the reader goroutine exits.
 	}
+	wg.Wait()
 	if runErr != nil {
 		return Result{}, runErr
 	}
@@ -600,7 +530,7 @@ func exchange(engines []*Engine, shared *shardShared) {
 	applyRemoteOps(engines)
 	// Merge every shard's own-PoP replica deltas into the shared index, once
 	// each. Afterwards the shared index restricted to a PoP equals that PoP's
-	// live index, which is the state checkpoints serialize.
+	// live index.
 	if shared.replicas != nil {
 		for _, src := range engines {
 			for _, op := range src.sh.riLog {

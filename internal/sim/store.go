@@ -46,9 +46,3 @@ func (s sizedStore) Insert(obj int32) bool {
 }
 
 func (s sizedStore) Len() int { return s.c.Len() }
-
-// AppendState and RestoreState delegate checkpointing to the byte-budget
-// cache; the size table is config, not state.
-func (s sizedStore) AppendState(buf []byte) []byte { return s.c.AppendState(buf) }
-
-func (s sizedStore) RestoreState(data []byte) ([]byte, error) { return s.c.RestoreState(data) }

@@ -99,12 +99,8 @@ func (bw *BinaryWriter) Flush() error {
 	return bw.w.Flush()
 }
 
-// BinaryReader decodes a binary trace as a Stream. It implements
-// ResumableStream: Pos captures the exact byte offset and decoder state, and
-// SeekPos restores them when the underlying reader is an io.Seeker.
+// BinaryReader decodes a binary trace as a Stream.
 type BinaryReader struct {
-	src     io.Reader // the caller's reader, retained for SeekPos
-	cr      *countingReader
 	r       *bufio.Reader
 	meta    BinaryMeta
 	prevObj int64
@@ -113,25 +109,10 @@ type BinaryReader struct {
 	done    bool
 }
 
-// countingReader tracks how many bytes the bufio layer has pulled from the
-// source, so Pos can subtract the still-buffered remainder and report the
-// offset of the next undecoded record.
-type countingReader struct {
-	r io.Reader
-	n int64
-}
-
-func (c *countingReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.n += int64(n)
-	return n, err
-}
-
 // NewBinaryReader validates the magic, decodes the header, and returns a
 // Stream over the records.
 func NewBinaryReader(r io.Reader) (*BinaryReader, error) {
-	cr := &countingReader{r: r}
-	br := &BinaryReader{src: r, cr: cr, r: bufio.NewReaderSize(cr, 64<<10)}
+	br := &BinaryReader{r: bufio.NewReaderSize(r, 64<<10)}
 	magic := make([]byte, len(BinaryMagic))
 	if _, err := io.ReadFull(br.r, magic); err != nil {
 		return nil, fmt.Errorf("trace: reading binary trace magic: %w", err)
