@@ -41,8 +41,9 @@ build:
 test:
 	$(GO) test -shuffle=on -count=1 ./...
 
+# -count=1 for the same reason as test: a cached pass re-runs nothing.
 race:
-	$(GO) test -race ./...
+	$(GO) test -race -count=1 ./...
 
 # One iteration of the perf-critical benchmarks: proves they still compile
 # and run, without the minutes-long full benchmark pass. The first run also

@@ -65,7 +65,7 @@ func icnsim(args []string) (err error) {
 		topoFile    = fs.String("topology-file", "", "load a custom sweep topology from a file (see internal/topo/parse.go for the format)")
 		traceFile   = fs.String("trace", "", "request log (tracegen format) for the trace-designs experiment")
 		failures    = fs.String("failures", "", "comma-separated cache-failure fractions for the degradation experiment (e.g. 0,0.1,0.3,0.5); implies -exp degradation")
-		seeds       = fs.Int("seeds", 5, "independent seeds for the variance experiment")
+		seeds       = fs.Int("seeds", 5, "independent seeds for the variance experiment (at least 2)")
 		workers     = fs.Int("workers", 0, "parallel simulation workers (0 = GOMAXPROCS); results are identical at any count")
 		cpuprofile  = fs.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile  = fs.String("memprofile", "", "write a heap profile to this file on exit")
@@ -133,6 +133,9 @@ func icnsim(args []string) (err error) {
 		p.TemporalLocality = *locality
 	}
 	p.TraceFile = *traceFile
+	if *seeds < 2 {
+		return fmt.Errorf("-seeds %d: the variance experiment needs at least 2 seeds", *seeds)
+	}
 	p.VarianceSeeds = *seeds
 	if *topoFile != "" {
 		if p.CustomTopology, err = topo.LoadTopology(*topoFile); err != nil {

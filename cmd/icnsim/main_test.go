@@ -81,6 +81,16 @@ func TestParseFractions(t *testing.T) {
 	}
 }
 
+// -seeds below 2 is refused rather than silently replaced by a default.
+func TestSeedsBelowTwoRejected(t *testing.T) {
+	for _, n := range []string{"1", "0", "-3"} {
+		err := icnsim([]string{"-exp", "variance", "-seeds", n, "-scale", "0.001", "-sweep-topology", "Abilene"})
+		if err == nil || !strings.Contains(err.Error(), "-seeds") {
+			t.Errorf("-seeds %s: got %v, want an error naming -seeds", n, err)
+		}
+	}
+}
+
 // A -stream run honours -metrics-json like an -exp run does.
 func TestStreamWritesMetricsJSON(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "m.json")

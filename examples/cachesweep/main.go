@@ -24,26 +24,21 @@ func main() {
 
 	fmt.Println("ICN-NR over EDGE gap (percentage points), Abilene:")
 
-	points, err := experiments.Figure8a(p, []float64{0.4, 0.7, 1.0, 1.3, 1.6})
-	if err != nil {
-		log.Fatal(err)
+	for _, s := range []struct {
+		title string
+		knob  experiments.Knob
+	}{
+		{"by Zipf alpha", experiments.AlphaKnob(0.4, 0.7, 1.0, 1.3, 1.6)},
+		{"by per-router cache budget", experiments.BudgetKnob(0.001, 0.01, 0.05, 0.2, 1)},
+		{"by spatial skew", experiments.SkewKnob(0, 0.5, 1)},
+	} {
+		rows, err := experiments.Sweep(p, s.knob)
+		if err != nil {
+			log.Fatal(err)
+		}
+		fmt.Printf("\n%s:\n", s.title)
+		fmt.Print(experiments.FormatSweep(s.knob.Label, rows))
 	}
-	fmt.Print("\nby Zipf alpha:\n")
-	fmt.Print(experiments.FormatSweep("alpha", points))
-
-	points, err = experiments.Figure8b(p, []float64{0.001, 0.01, 0.05, 0.2, 1})
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Print("\nby per-router cache budget:\n")
-	fmt.Print(experiments.FormatSweep("budget%", points))
-
-	points, err = experiments.Figure8c(p, []float64{0, 0.5, 1})
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Print("\nby spatial skew:\n")
-	fmt.Print(experiments.FormatSweep("skew", points))
 
 	// The analytical model behind Figure 2: where requests are served on a
 	// 6-level binary tree under optimal placement.

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 
 	"idicn/internal/sim"
 )
@@ -26,13 +25,13 @@ type AblationRow struct {
 // while replicas elsewhere in the network are reachable at zero lookup
 // cost. The paper's reported single-digit gaps correspond to the warm end
 // of this sweep.
+// Not a Knob sweep: each point reports all five designs, not just the gap.
 func AblationObjectUniverse(p Params, universes []int) ([]AblationRow, error) {
 	if universes == nil {
 		requests, _ := p.workloadSize()
 		universes = []int{requests / 15, requests / 60, requests / 360, requests / 1800}
 	}
 	tp := p.sweepTopology()
-	sizes := make([]int, len(universes))
 	sets := make([]sim.DesignSet, len(universes))
 	for i, o := range universes {
 		if o < 50 {
@@ -41,7 +40,6 @@ func AblationObjectUniverse(p Params, universes []int) ([]AblationRow, error) {
 		pc := p
 		pc.Objects = o
 		cfg, reqs := pc.Workload(tp)
-		sizes[i] = o
 		sets[i] = sim.DesignSet{Base: cfg, Designs: sim.BaselineDesigns(), Reqs: reqs}
 	}
 	batches, err := sim.CompareSets(sets, p.simOptions())
@@ -52,21 +50,14 @@ func AblationObjectUniverse(p Params, universes []int) ([]AblationRow, error) {
 	for i, results := range batches {
 		cfg := sets[i].Base
 		row := AblationRow{
-			Objects:         sizes[i],
+			Objects:         cfg.Objects,
 			Improvements:    make(map[string]sim.Improvement, len(results)),
 			RequestsPerLeaf: float64(len(sets[i].Reqs)) / float64(cfg.Network.PoPs()*cfg.Network.LeavesPerTree()),
 		}
-		var nr, edge sim.Improvement
 		for _, r := range results {
 			row.Improvements[r.Design.Name] = r.Improvement
-			switch r.Design.Name {
-			case sim.ICNNR.Name:
-				nr = r.Improvement
-			case sim.EDGE.Name:
-				edge = r.Improvement
-			}
 		}
-		row.NRvsEdge = sim.Gap(nr, edge)
+		row.NRvsEdge = sim.Gap(row.Improvements[sim.ICNNR.Name], row.Improvements[sim.EDGE.Name])
 		rows = append(rows, row)
 	}
 	return rows, nil
@@ -74,19 +65,11 @@ func AblationObjectUniverse(p Params, universes []int) ([]AblationRow, error) {
 
 // FormatAblation renders the warmth ablation.
 func FormatAblation(rows []AblationRow) string {
-	var b strings.Builder
-	w := newTab(&b)
-	fmt.Fprintf(w, "Objects\tReqs/leaf\tICN-SP\tICN-NR\tEDGE\tEDGE-Coop\tEDGE-Norm\tNR-EDGE gap\n")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%d\t%.0f\t%.1f\t%.1f\t%.1f\t%.1f\t%.1f\t%.1f\n",
-			r.Objects, r.RequestsPerLeaf,
-			r.Improvements["ICN-SP"].Latency,
-			r.Improvements["ICN-NR"].Latency,
-			r.Improvements["EDGE"].Latency,
-			r.Improvements["EDGE-Coop"].Latency,
-			r.Improvements["EDGE-Norm"].Latency,
-			r.NRvsEdge.Latency)
-	}
-	flushTab(w)
-	return b.String()
+	return table("Objects\tReqs/leaf\tICN-SP\tICN-NR\tEDGE\tEDGE-Coop\tEDGE-Norm\tNR-EDGE gap", rows, func(r AblationRow) string {
+		line := fmt.Sprintf("%d\t%.0f", r.Objects, r.RequestsPerLeaf)
+		for _, d := range sim.BaselineDesigns() {
+			line += fmt.Sprintf("\t%.1f", r.Improvements[d.Name].Latency)
+		}
+		return line + fmt.Sprintf("\t%.1f", r.NRvsEdge.Latency)
+	})
 }

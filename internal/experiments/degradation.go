@@ -29,6 +29,7 @@ type DegradationRow struct {
 // roughly linearly with failed caches and never falls below the no-cache
 // baseline; the resolver-down rows quantify how much of ICN-NR's edge
 // depends on the resolution infrastructure staying up.
+// Not a Knob sweep: it reports each design against its own healthy run.
 func DegradationCurve(p Params, fractions []float64) ([]DegradationRow, error) {
 	if fractions == nil {
 		fractions = []float64{0, 0.1, 0.3, 0.5}
@@ -48,8 +49,13 @@ func DegradationCurve(p Params, fractions []float64) ([]DegradationRow, error) {
 	}
 
 	// One parallel batch: job 0 is the shared no-cache baseline, then one
-	// run per variant x failure fraction.
+	// run per variant x failure fraction, then a healthy (no-failure,
+	// resolver-up) run for any design the fraction list gives none. The
+	// Retained column divides by that run's latency improvement. The
+	// resolver-down variant is normalized against plain ICN-NR: its f=0 row
+	// then directly reads off the cost of losing resolution alone.
 	jobs := []sim.Job{{Config: sim.BaselineConfig(cfg), Reqs: reqs}}
+	healthyJob := map[string]int{}
 	for _, v := range variants {
 		for _, f := range fractions {
 			run := v.design.Apply(cfg)
@@ -58,8 +64,16 @@ func DegradationCurve(p Params, fractions []float64) ([]DegradationRow, error) {
 					Seed:   p.Seed + 3,
 					Epochs: []sim.FailureEpoch{{Start: 0, FailFraction: f, ResolverDown: v.resolverDown}},
 				}
+			} else {
+				healthyJob[v.design.Name] = len(jobs)
 			}
 			jobs = append(jobs, sim.Job{Config: run, Reqs: reqs})
+		}
+	}
+	for _, v := range variants {
+		if _, ok := healthyJob[v.design.Name]; !ok {
+			healthyJob[v.design.Name] = len(jobs)
+			jobs = append(jobs, sim.Job{Config: v.design.Apply(cfg), Reqs: reqs})
 		}
 	}
 	results, err := sim.Run(jobs, p.simOptions())
@@ -68,23 +82,16 @@ func DegradationCurve(p Params, fractions []float64) ([]DegradationRow, error) {
 	}
 	baseline := results[0]
 
-	// Healthy latency improvements per design name, for the retained
-	// column. The resolver-down variant is normalized against plain ICN-NR:
-	// its f=0 row then directly reads off the cost of losing resolution
-	// alone.
-	healthy := map[string]float64{}
 	rows := make([]DegradationRow, 0, len(variants)*len(fractions))
 	idx := 1
 	for _, v := range variants {
+		healthy := sim.Improvements(baseline, results[healthyJob[v.design.Name]]).Latency
 		for _, f := range fractions {
 			imp := sim.Improvements(baseline, results[idx])
 			idx++
-			if f == 0 && !v.resolverDown {
-				healthy[v.design.Name] = imp.Latency
-			}
 			retained := 0.0
-			if h := healthy[v.design.Name]; h != 0 {
-				retained = imp.Latency / h * 100
+			if healthy != 0 {
+				retained = imp.Latency / healthy * 100
 			}
 			rows = append(rows, DegradationRow{
 				Design:          v.name,

@@ -3,8 +3,6 @@ package experiments
 import (
 	"fmt"
 	"sort"
-	"strings"
-	"text/tabwriter"
 
 	"idicn/internal/sim"
 )
@@ -32,6 +30,7 @@ type DeploymentRow struct {
 // network." Edge caches are deployed at a growing fraction of PoPs
 // (largest first) under the EDGE design, and the latency improvement is
 // measured separately for deployed and undeployed populations.
+// Not a Knob sweep: it splits one EDGE run's improvement by PoP deployment.
 func AblationIncrementalDeployment(p Params, fractions []float64) ([]DeploymentRow, error) {
 	if fractions == nil {
 		fractions = []float64{0.1, 0.25, 0.5, 0.75, 1}
@@ -112,13 +111,8 @@ func groupImprovement(base, run sim.Result, deployed []bool, want bool) float64 
 
 // FormatDeployment renders the incremental-deployment ablation.
 func FormatDeployment(rows []DeploymentRow) string {
-	var b strings.Builder
-	w := tabwriter.NewWriter(&b, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "Deployed fraction\tPoPs\tDeployed users%\tUndeployed users%\tOverall%")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%.2f\t%d\t%.2f\t%.2f\t%.2f\n",
+	return table("Deployed fraction\tPoPs\tDeployed users%\tUndeployed users%\tOverall%", rows, func(r DeploymentRow) string {
+		return fmt.Sprintf("%.2f\t%d\t%.2f\t%.2f\t%.2f",
 			r.Fraction, r.DeployedPoPs, r.DeployedImprovement, r.UndeployedImprovement, r.OverallImprovement)
-	}
-	flushTab(w)
-	return b.String()
+	})
 }

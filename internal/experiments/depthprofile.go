@@ -1,10 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-	"strings"
-	"text/tabwriter"
-
 	"idicn/internal/sim"
 	"idicn/internal/treemodel"
 )
@@ -44,6 +40,7 @@ func HitRatioByDepth(fractions []float64) []float64 {
 // Alongside it returns the §2.2 analytical prediction for a tree of the
 // same arity and depth with per-node caches of BudgetFraction of the
 // universe, so simulation and model can be compared directly.
+// Not a Knob sweep: it reports serve depths per design, not the NR-over-EDGE gap.
 func ServeDepthProfile(p Params) (profiles []DepthProfile, analytic []float64, err error) {
 	tp := p.sweepTopology()
 	cfg, reqs := p.Workload(tp)
@@ -91,37 +88,25 @@ func ServeDepthProfile(p Params) (profiles []DepthProfile, analytic []float64, e
 
 // FormatDepthProfile renders the simulated and analytical level fractions.
 func FormatDepthProfile(profiles []DepthProfile, analytic []float64) string {
-	var b strings.Builder
-	w := tabwriter.NewWriter(&b, 2, 4, 2, ' ', 0)
 	levels := 0
 	for _, p := range profiles {
-		if len(p.Fractions) > levels {
-			levels = len(p.Fractions)
-		}
+		levels = max(levels, len(p.Fractions))
 	}
-	fmt.Fprint(w, "Source")
-	for l := 1; l < levels; l++ {
-		fmt.Fprintf(w, "\tL%d", l)
+	type line struct {
+		name string
+		fr   []float64
 	}
-	fmt.Fprintln(w, "\torigin")
-	row := func(name string, fr []float64) {
-		fmt.Fprint(w, name)
-		for _, f := range fr {
-			fmt.Fprintf(w, "\t%.3f", f)
-		}
-		fmt.Fprintln(w)
-	}
+	var lines []line
 	for _, p := range profiles {
-		row(p.Design+" (sim)", p.Fractions)
+		lines = append(lines, line{p.Design + " (sim)", p.Fractions})
 	}
-	row("optimal (model)", analytic)
+	lines = append(lines, line{"optimal (model)", analytic})
 	// Cumulative hit ratios: how much of the traffic a hierarchy truncated
 	// at each level absorbs (the last column is the total cache hit ratio).
 	for _, p := range profiles {
 		if len(p.HitRatio) > 0 {
-			row(p.Design+" (hit<=L)", p.HitRatio)
+			lines = append(lines, line{p.Design + " (hit<=L)", p.HitRatio})
 		}
 	}
-	flushTab(w)
-	return b.String()
+	return table("Source"+levelColumns(levels)+"\torigin", lines, func(l line) string { return l.name + cells(l.fr) })
 }

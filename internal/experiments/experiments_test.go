@@ -137,7 +137,7 @@ func TestFigure6PaperShape(t *testing.T) {
 
 func TestFigure8aGapShrinksWithAlpha(t *testing.T) {
 	p := testParams()
-	points, err := Figure8a(p, []float64{0.3, 1.5})
+	points, err := Sweep(p, AlphaKnob(0.3, 1.5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestFigure8cSkewKeepsGapPositive(t *testing.T) {
 	// runs, stays positive, and moves the gap only modestly. The full trend
 	// shows at larger scale (`icnsim -exp fig8c`; see EXPERIMENTS.md).
 	p := testParams()
-	points, err := Figure8c(p, []float64{0, 0.5, 1})
+	points, err := Sweep(p, SkewKnob(0, 0.5, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestFigure8bNonMonotone(t *testing.T) {
 	// edge caches are large enough to capture most requests.
 	p := testParams()
 	p.Objects = 100 // high warmth: requests/leaf >> universe
-	points, err := Figure8b(p, []float64{1e-3, 0.02, 0.05, 1})
+	points, err := Sweep(p, BudgetKnob(1e-3, 0.02, 0.05, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +201,7 @@ func TestFigure8bNonMonotone(t *testing.T) {
 
 func TestFigure9Progression(t *testing.T) {
 	p := testParams()
-	steps, err := Figure9(p)
+	steps, err := Sweep(p, BestCaseKnob())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,8 +222,8 @@ func TestFigure9Progression(t *testing.T) {
 			t.Errorf("step %s: gap %.2f, want positive", s.Name, s.Gap.Latency)
 		}
 	}
-	if out := FormatFigure9(steps); !strings.Contains(out, "Node-Budget*") {
-		t.Error("FormatFigure9 missing step name")
+	if out := FormatNamedGaps("Step", steps); !strings.Contains(out, "Node-Budget*") {
+		t.Error("FormatNamedGaps missing step name")
 	}
 }
 
@@ -235,7 +235,7 @@ func TestFigure10BridgesGap(t *testing.T) {
 	}
 	byName := map[string]float64{}
 	for _, r := range rows {
-		byName[r.Variant] = r.Gap.Latency
+		byName[r.Name] = r.Gap.Latency
 	}
 	for _, want := range []string{"Baseline", "2-Levels", "Coop", "2-Levels-Coop", "Norm", "Norm-Coop", "Double-Budget-Coop", "Section-4", "Inf-Budget"} {
 		if _, ok := byName[want]; !ok {
@@ -251,8 +251,8 @@ func TestFigure10BridgesGap(t *testing.T) {
 		t.Errorf("Double-Budget-Coop gap %.2f worse than Norm-Coop %.2f",
 			byName["Double-Budget-Coop"], byName["Norm-Coop"])
 	}
-	if out := FormatFigure10(rows); !strings.Contains(out, "Inf-Budget") {
-		t.Error("FormatFigure10 missing variant")
+	if out := FormatNamedGaps("EDGE variant", rows); !strings.Contains(out, "Inf-Budget") {
+		t.Error("FormatNamedGaps missing variant")
 	}
 }
 
@@ -301,7 +301,7 @@ func TestTable4GapShrinksWithArity(t *testing.T) {
 
 func TestSensitivityLatencyModels(t *testing.T) {
 	p := testParams()
-	rows, err := SensitivityLatencyModels(p)
+	rows, err := Sweep(p, LatencyModelKnob())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +315,7 @@ func TestSensitivityLatencyModels(t *testing.T) {
 
 func TestSensitivityCapacity(t *testing.T) {
 	p := testParams()
-	rows, err := SensitivityCapacity(p, []int64{0, 50})
+	rows, err := Sweep(p, CapacityKnob(0, 50))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,14 +326,14 @@ func TestSensitivityCapacity(t *testing.T) {
 
 func TestSensitivityObjectSizesAndPolicy(t *testing.T) {
 	p := testParams()
-	sizes, err := SensitivityObjectSizes(p)
+	sizes, err := Sweep(p, ObjectSizeKnob())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(sizes) != 2 {
 		t.Fatalf("sizes rows = %+v", sizes)
 	}
-	pol, err := SensitivityPolicy(p)
+	pol, err := Sweep(p, PolicyKnob(sim.PolicyLRU, sim.PolicyLFU))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -403,7 +403,7 @@ func TestFloodProtection(t *testing.T) {
 
 func TestAblationLookupCostErodesGap(t *testing.T) {
 	p := testParams()
-	points, err := AblationLookupCost(p, []float64{0, 2})
+	points, err := Sweep(p, LookupPenaltyKnob(0, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -453,7 +453,7 @@ func TestIncrementalDeploymentIndependence(t *testing.T) {
 
 func TestAblationTemporalLocalityCompressesGap(t *testing.T) {
 	p := testParams()
-	points, err := AblationTemporalLocality(p, []float64{0, 0.7})
+	points, err := Sweep(p, LocalityKnob(0, 0.7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -543,6 +543,9 @@ func TestSeedVariance(t *testing.T) {
 	if out := FormatVariance(rows); !strings.Contains(out, "latency") {
 		t.Error("FormatVariance missing metric")
 	}
+	if _, err := SeedVariance(p, 1); err == nil {
+		t.Error("SeedVariance accepted 1 seed")
+	}
 }
 
 func TestServeDepthProfile(t *testing.T) {
@@ -586,7 +589,7 @@ func TestServeDepthProfile(t *testing.T) {
 
 func TestAblationWarmupShrinksGap(t *testing.T) {
 	p := testParams()
-	points, err := AblationWarmup(p, []float64{0, 0.5})
+	points, err := Sweep(p, WarmupKnob(0, 0.5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -626,7 +629,7 @@ func TestFigure6And7AllTopologies(t *testing.T) {
 
 func TestAblationCoopScopeWidensCoverage(t *testing.T) {
 	p := testParams()
-	points, err := AblationCoopScope(p, []int{0, 2, 6})
+	points, err := Sweep(p, CoopScopeKnob(0, 2, 6))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -713,5 +716,20 @@ func TestDegradationCurve(t *testing.T) {
 	}
 	if out := FormatDegradation(rows); !strings.Contains(out, "Retained%") {
 		t.Error("FormatDegradation header missing")
+	}
+	// Retained% normalizes against each design's healthy run whether the
+	// fraction list starts with 0, ends with it or leaves it out.
+	for _, fractions := range [][]float64{{0.3}, {0.3, 0}} {
+		other, err := DegradationCurve(p, fractions)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range other {
+			want := byKey[fmt.Sprintf("%s@%g", r.Design, r.FailFraction)]
+			if r.RetainedLatency != want.RetainedLatency || r.Imp != want.Imp {
+				t.Errorf("fractions %v: %s@%g retained %.2f, want %.2f as with {0, 0.3}",
+					fractions, r.Design, r.FailFraction, r.RetainedLatency, want.RetainedLatency)
+			}
+		}
 	}
 }

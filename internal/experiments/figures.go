@@ -73,159 +73,13 @@ func designsOverTopologies(p Params) ([]FigureRow, error) {
 	return rows, nil
 }
 
-// SweepPoint is one x-position of a Figure 8 sensitivity sweep: the ICN-NR
-// over EDGE gap on the three metrics.
-type SweepPoint struct {
-	X   float64
-	Gap sim.Improvement
-}
-
-// Figure8a sweeps the Zipf alpha (paper Figure 8(a)): the gap shrinks as
-// popularity concentrates. Runs on the largest topology (ATT), as §5 does.
-func Figure8a(p Params, alphas []float64) ([]SweepPoint, error) {
-	if alphas == nil {
-		alphas = []float64{0.2, 0.4, 0.6, 0.8, 1.0, 1.2, 1.4, 1.6}
-	}
-	cfgs := make([]sim.Config, len(alphas))
-	reqss := make([][]sim.Request, len(alphas))
-	for i, a := range alphas {
-		pc := p
-		pc.Alpha = a
-		cfgs[i], reqss[i] = pc.Workload(pc.sweepTopology())
-	}
-	gaps, err := gapBatch(nrEdgeCases(cfgs, reqss), p.simOptions())
-	if err != nil {
-		return nil, err
-	}
-	points := make([]SweepPoint, len(alphas))
-	for i, a := range alphas {
-		points[i] = SweepPoint{X: a, Gap: gaps[i]}
-	}
-	return points, nil
-}
-
-// Figure8b sweeps the per-router cache budget F (paper Figure 8(b), x-axis
-// "individual cache sizes as percentage of total objects"). The paper finds
-// a non-monotone gap peaking around F=2%.
-func Figure8b(p Params, fractions []float64) ([]SweepPoint, error) {
-	if fractions == nil {
-		fractions = []float64{1e-5, 1e-4, 1e-3, 5e-3, 0.01, 0.02, 0.05, 0.1, 0.3, 1}
-	}
-	cfgs := make([]sim.Config, len(fractions))
-	reqss := make([][]sim.Request, len(fractions))
-	for i, f := range fractions {
-		pc := p
-		pc.BudgetFraction = f
-		cfgs[i], reqss[i] = pc.Workload(pc.sweepTopology())
-	}
-	gaps, err := gapBatch(nrEdgeCases(cfgs, reqss), p.simOptions())
-	if err != nil {
-		return nil, err
-	}
-	points := make([]SweepPoint, len(fractions))
-	for i, f := range fractions {
-		points[i] = SweepPoint{X: f * 100, Gap: gaps[i]}
-	}
-	return points, nil
-}
-
-// Figure8c sweeps the spatial skew dial (paper Figure 8(c)): the gap grows
-// as per-PoP popularity diverges.
-func Figure8c(p Params, skews []float64) ([]SweepPoint, error) {
-	if skews == nil {
-		skews = []float64{0, 0.2, 0.4, 0.6, 0.8, 1}
-	}
-	cfgs := make([]sim.Config, len(skews))
-	reqss := make([][]sim.Request, len(skews))
-	for i, s := range skews {
-		pc := p
-		pc.SpatialSkew = s
-		cfgs[i], reqss[i] = pc.Workload(pc.sweepTopology())
-	}
-	gaps, err := gapBatch(nrEdgeCases(cfgs, reqss), p.simOptions())
-	if err != nil {
-		return nil, err
-	}
-	points := make([]SweepPoint, len(skews))
-	for i, s := range skews {
-		points[i] = SweepPoint{X: s, Gap: gaps[i]}
-	}
-	return points, nil
-}
-
-// Figure9Step is one bar group of the paper's Figure 9: the ICN-NR over
-// EDGE gap after progressively applying each NR-favoring parameter change.
-type Figure9Step struct {
-	Name string
-	Gap  sim.Improvement
-}
-
-// bestCaseSteps applies the paper's Figure 9 progression to the baseline
-// parameters: Alpha*=0.1, Skew*=1, Budget-Dist*=uniform, Node-Budget*=2%.
-func bestCaseSteps(p Params) []struct {
-	name  string
-	apply func(*Params)
-} {
-	return []struct {
-		name  string
-		apply func(*Params)
-	}{
-		{"Baseline", func(*Params) {}},
-		{"Alpha*", func(q *Params) { q.Alpha = 0.1 }},
-		{"Skew*", func(q *Params) { q.SpatialSkew = 1 }},
-		{"Budget-Dist*", func(q *Params) { q.BudgetPolicy = sim.BudgetUniform }},
-		{"Node-Budget*", func(q *Params) { q.BudgetFraction = 0.02 }},
-	}
-}
-
-// Figure9 progressively sets each configuration parameter to the value most
-// favorable to ICN-NR and reports the resulting gap over EDGE (paper: the
-// fully combined best case reaches at most ~17%).
-func Figure9(p Params) ([]Figure9Step, error) {
-	// The progression is cumulative in its parameters but each point's runs
-	// are independent, so the whole staircase goes into one parallel batch.
-	prog := bestCaseSteps(p)
-	cfgs := make([]sim.Config, len(prog))
-	reqss := make([][]sim.Request, len(prog))
-	cur := p
-	for i, st := range prog {
-		st.apply(&cur)
-		cfgs[i], reqss[i] = cur.Workload(cur.sweepTopology())
-	}
-	gaps, err := gapBatch(nrEdgeCases(cfgs, reqss), p.simOptions())
-	if err != nil {
-		return nil, err
-	}
-	steps := make([]Figure9Step, len(prog))
-	for i, st := range prog {
-		steps[i] = Figure9Step{Name: st.name, Gap: gaps[i]}
-	}
-	return steps, nil
-}
-
-// BestCaseParams returns the paper's fully combined ICN-NR best case
-// (Figure 9's rightmost configuration).
-func BestCaseParams(p Params) Params {
-	cur := p
-	for _, st := range bestCaseSteps(p) {
-		st.apply(&cur)
-	}
-	return cur
-}
-
-// Figure10Row is one bar group of the paper's Figure 10: the gap between
-// best-case ICN-NR and an EDGE variant.
-type Figure10Row struct {
-	Variant string
-	Gap     sim.Improvement
-}
-
 // Figure10 bridges the best-case gap with simple EDGE extensions: a second
 // caching level, sibling cooperation, normalized budgets, their combinations
 // and a doubled budget, plus the Section-4 baseline and an infinite-budget
 // reference. The paper finds Norm-Coop brings the best case down to ~6% and
 // Double-Budget-Coop makes EDGE win outright.
-func Figure10(p Params) ([]Figure10Row, error) {
+// Not a Knob sweep: seven EDGE variants share one ICN-NR run on one workload.
+func Figure10(p Params) ([]SweepRow, error) {
 	best := BestCaseParams(p)
 	cfg, reqs := best.Workload(best.sweepTopology())
 
@@ -254,13 +108,13 @@ func Figure10(p Params) ([]Figure10Row, error) {
 		return nil, err
 	}
 	nr := results[0][0].Improvement
-	rows := make([]Figure10Row, 0, len(variants)+2)
+	rows := make([]SweepRow, 0, len(variants)+2)
 	for _, r := range results[0][1:] {
-		rows = append(rows, Figure10Row{Variant: r.Design.Name, Gap: sim.Gap(nr, r.Improvement)})
+		rows = append(rows, SweepRow{Name: r.Design.Name, Gap: sim.Gap(nr, r.Improvement)})
 	}
 	// Section-4 reference: the gap under the original §4 configuration.
-	rows = append(rows, Figure10Row{Variant: "Section-4", Gap: sim.Gap(results[1][0].Improvement, results[1][1].Improvement)})
+	rows = append(rows, SweepRow{Name: "Section-4", Gap: sim.Gap(results[1][0].Improvement, results[1][1].Improvement)})
 	// Inf-Budget reference: both designs with effectively infinite caches.
-	rows = append(rows, Figure10Row{Variant: "Inf-Budget", Gap: sim.Gap(results[2][0].Improvement, results[2][1].Improvement)})
+	rows = append(rows, SweepRow{Name: "Inf-Budget", Gap: sim.Gap(results[2][0].Improvement, results[2][1].Improvement)})
 	return rows, nil
 }

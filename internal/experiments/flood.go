@@ -3,8 +3,6 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
-	"strings"
-	"text/tabwriter"
 
 	"idicn/internal/sim"
 )
@@ -30,6 +28,7 @@ type FloodRow struct {
 // object on first touch, both EDGE and ICN absorb the flood, and the
 // interesting question is how closely EDGE tracks ICN's origin-load
 // protection.
+// Not a Knob sweep: it reports origin load per design, not the NR-over-EDGE gap.
 func FloodProtection(p Params, floodFraction float64) ([]FloodRow, error) {
 	if floodFraction <= 0 || floodFraction >= 1 {
 		floodFraction = 0.3
@@ -111,12 +110,7 @@ func weightedPop(r *rand.Rand, weights []float64) int {
 
 // FormatFlood renders the flood-protection comparison.
 func FormatFlood(rows []FloodRow) string {
-	var b strings.Builder
-	w := tabwriter.NewWriter(&b, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "Design\tOrigin share\tMax origin load\tOrigin-load improvement%")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%s\t%.3f\t%d\t%.2f\n", r.Design, r.OriginShare, r.MaxOriginLoad, r.Improvement.OriginLoad)
-	}
-	flushTab(w)
-	return b.String()
+	return table("Design\tOrigin share\tMax origin load\tOrigin-load improvement%", rows, func(r FloodRow) string {
+		return fmt.Sprintf("%s\t%.3f\t%d\t%.2f", r.Design, r.OriginShare, r.MaxOriginLoad, r.Improvement.OriginLoad)
+	})
 }

@@ -5,127 +5,64 @@ import (
 	"sort"
 	"strings"
 	"text/tabwriter"
+
+	"idicn/internal/sim"
 )
 
 // FormatTable2 renders Table 2 rows as an aligned text table.
 func FormatTable2(rows []Table2Row) string {
-	var b strings.Builder
-	w := newTab(&b)
-	fmt.Fprintln(w, "Location\tRequests\tZipf alpha (fit)\talpha (MLE)\tR^2\tpaper")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%s\t%d\t%.2f\t%.2f\t%.3f\t%.2f\n",
-			r.Location, r.Requests, r.AlphaFit, r.AlphaMLE, r.R2, r.PaperAlpha)
-	}
-	flushTab(w)
-	return b.String()
+	return table("Location\tRequests\tZipf alpha (fit)\talpha (MLE)\tR^2\tpaper", rows, func(r Table2Row) string {
+		return fmt.Sprintf("%s\t%d\t%.2f\t%.2f\t%.3f\t%.2f", r.Location, r.Requests, r.AlphaFit, r.AlphaMLE, r.R2, r.PaperAlpha)
+	})
 }
 
 // FormatFigure2 renders the Figure 2 level fractions.
 func FormatFigure2(rows []Figure2Row) string {
-	var b strings.Builder
-	w := newTab(&b)
-	fmt.Fprint(w, "alpha")
+	header := "alpha"
 	if len(rows) > 0 {
-		for l := 1; l <= len(rows[0].Fractions); l++ {
-			fmt.Fprintf(w, "\tL%d", l)
-		}
+		header += levelColumns(len(rows[0].Fractions) + 1)
 	}
-	fmt.Fprintln(w, "\t(last level = origin)")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%.1f", r.Alpha)
-		for _, f := range r.Fractions {
-			fmt.Fprintf(w, "\t%.3f", f)
-		}
-		fmt.Fprintln(w, "\t")
-	}
-	flushTab(w)
-	return b.String()
+	return table(header+"\t(last level = origin)", rows, func(r Figure2Row) string {
+		return fmt.Sprintf("%.1f", r.Alpha) + cells(r.Fractions) + "\t"
+	})
 }
 
 // FormatFigure renders Figure 6/7 rows grouped by topology, one line per
 // design with the three improvement percentages.
 func FormatFigure(rows []FigureRow) string {
-	var b strings.Builder
-	w := newTab(&b)
-	fmt.Fprintln(w, "Topology\tDesign\tLatency%\tCongestion%\tOriginLoad%")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%s\t%s\t%.2f\t%.2f\t%.2f\n",
-			r.Topology, r.Design, r.Imp.Latency, r.Imp.Congestion, r.Imp.OriginLoad)
-	}
-	flushTab(w)
-	return b.String()
+	return table("Topology\tDesign\tLatency%\tCongestion%\tOriginLoad%", rows, func(r FigureRow) string {
+		return r.Topology + "\t" + r.Design + impCells(r.Imp)
+	})
 }
 
-// FormatSweep renders a Figure 8 sweep with a caller-supplied x-axis label.
-func FormatSweep(xLabel string, points []SweepPoint) string {
-	var b strings.Builder
-	w := newTab(&b)
-	fmt.Fprintf(w, "%s\tDelayGap%%\tCongestionGap%%\tOriginGap%%\n", xLabel)
-	for _, pt := range points {
-		fmt.Fprintf(w, "%g\t%.2f\t%.2f\t%.2f\n", pt.X, pt.Gap.Latency, pt.Gap.Congestion, pt.Gap.OriginLoad)
-	}
-	flushTab(w)
-	return b.String()
-}
-
-// FormatFigure9 renders the best-case progression.
-func FormatFigure9(steps []Figure9Step) string {
-	var b strings.Builder
-	w := newTab(&b)
-	fmt.Fprintln(w, "Step\tLatencyGap%\tCongestionGap%\tOriginGap%")
-	for _, s := range steps {
-		fmt.Fprintf(w, "%s\t%.2f\t%.2f\t%.2f\n", s.Name, s.Gap.Latency, s.Gap.Congestion, s.Gap.OriginLoad)
-	}
-	flushTab(w)
-	return b.String()
-}
-
-// FormatFigure10 renders the gap-bridging variants.
-func FormatFigure10(rows []Figure10Row) string {
-	var b strings.Builder
-	w := newTab(&b)
-	fmt.Fprintln(w, "EDGE variant\tLatencyGap%\tCongestionGap%\tOriginGap%")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%s\t%.2f\t%.2f\t%.2f\n", r.Variant, r.Gap.Latency, r.Gap.Congestion, r.Gap.OriginLoad)
-	}
-	flushTab(w)
-	return b.String()
+// FormatSweep renders a numeric knob sweep (Figure 8 and the ablations) by
+// x position, under a caller-supplied x-axis label.
+func FormatSweep(xLabel string, points []SweepRow) string {
+	return table(xLabel+"\tDelayGap%\tCongestionGap%\tOriginGap%", points, func(r SweepRow) string {
+		return fmt.Sprintf("%g", r.X) + impCells(r.Gap)
+	})
 }
 
 // FormatTable3 renders the trace-versus-synthetic validation.
 func FormatTable3(rows []Table3Row) string {
-	var b strings.Builder
-	w := newTab(&b)
-	fmt.Fprintln(w, "Topology\tTrace\tSynthetic\tDifference")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%s\t%.2f\t%.2f\t%.2f\n", r.Topology, r.TraceGap, r.SynthGap, r.Difference)
-	}
-	flushTab(w)
-	return b.String()
+	return table("Topology\tTrace\tSynthetic\tDifference", rows, func(r Table3Row) string {
+		return fmt.Sprintf("%s\t%.2f\t%.2f\t%.2f", r.Topology, r.TraceGap, r.SynthGap, r.Difference)
+	})
 }
 
 // FormatTable4 renders the arity sweep.
 func FormatTable4(rows []Table4Row) string {
-	var b strings.Builder
-	w := newTab(&b)
-	fmt.Fprintln(w, "Arity\tDepth\tLatency gain%\tCongestion gain%\tOrigin load%")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%d\t%d\t%.2f\t%.2f\t%.2f\n", r.Arity, r.Depth, r.LatencyGain, r.CongestionGain, r.OriginGain)
-	}
-	flushTab(w)
-	return b.String()
+	return table("Arity\tDepth\tLatency gain%\tCongestion gain%\tOrigin load%", rows, func(r Table4Row) string {
+		return fmt.Sprintf("%d\t%d\t%.2f\t%.2f\t%.2f", r.Arity, r.Depth, r.LatencyGain, r.CongestionGain, r.OriginGain)
+	})
 }
 
-// FormatNamedGaps renders a sensitivity variant list.
-func FormatNamedGaps(title string, rows []NamedGap) string {
-	var b strings.Builder
-	w := newTab(&b)
-	fmt.Fprintf(w, "%s\tLatencyGap%%\tCongestionGap%%\tOriginGap%%\n", title)
-	for _, r := range rows {
-		fmt.Fprintf(w, "%s\t%.2f\t%.2f\t%.2f\n", r.Name, r.Gap.Latency, r.Gap.Congestion, r.Gap.OriginLoad)
-	}
-	flushTab(w)
-	return b.String()
+// FormatNamedGaps renders a sweep by row name: the §5.1 variant lists,
+// Figure 9's steps and Figure 10's EDGE variants.
+func FormatNamedGaps(title string, rows []SweepRow) string {
+	return table(title+"\tLatencyGap%\tCongestionGap%\tOriginGap%", rows, func(r SweepRow) string {
+		return r.Name + impCells(r.Gap)
+	})
 }
 
 // FormatFigure1 renders a downsampled rank/frequency listing per location.
@@ -153,32 +90,53 @@ func FormatFigure1(series map[string][]int64, points int) string {
 	return b.String()
 }
 
-func newTab(b *strings.Builder) *tabwriter.Writer {
-	return tabwriter.NewWriter(b, 2, 4, 2, ' ', 0)
-}
-
-// flushTab completes a table built with newTab. Every table in this package
-// renders into a strings.Builder, which cannot fail, so a flush error can
-// only mean a programming bug — surface it instead of dropping it.
-func flushTab(w *tabwriter.Writer) {
+// table renders a header and one line per row, cells separated by tabs,
+// as an aligned text table.
+func table[T any](header string, rows []T, line func(T) string) string {
+	var b strings.Builder
+	w := tabwriter.NewWriter(&b, 2, 4, 2, ' ', 0)
+	fmt.Fprintln(w, header)
+	for _, r := range rows {
+		fmt.Fprintln(w, line(r))
+	}
+	// A strings.Builder cannot fail, so a flush error can only mean a
+	// programming bug: surface it instead of dropping it.
 	if err := w.Flush(); err != nil {
 		panic("experiments: tabwriter flush: " + err.Error())
 	}
+	return b.String()
+}
+
+// impCells renders the three metrics of an improvement or gap as cells.
+func impCells(imp sim.Improvement) string {
+	return fmt.Sprintf("\t%.2f\t%.2f\t%.2f", imp.Latency, imp.Congestion, imp.OriginLoad)
+}
+
+// cells renders level fractions as cells.
+func cells(fractions []float64) string {
+	var b strings.Builder
+	for _, f := range fractions {
+		fmt.Fprintf(&b, "\t%.3f", f)
+	}
+	return b.String()
+}
+
+// levelColumns is the header cells L1 .. L<levels-1>.
+func levelColumns(levels int) string {
+	var b strings.Builder
+	for l := 1; l < levels; l++ {
+		fmt.Fprintf(&b, "\tL%d", l)
+	}
+	return b.String()
 }
 
 // FormatDegradation renders the failure-degradation curve.
 func FormatDegradation(rows []DegradationRow) string {
-	var b strings.Builder
-	w := newTab(&b)
-	fmt.Fprintln(w, "Design\tFailed caches\tResolver\tLatency%\tCongestion%\tOriginLoad%\tRetained%")
-	for _, r := range rows {
+	return table("Design\tFailed caches\tResolver\tLatency%\tCongestion%\tOriginLoad%\tRetained%", rows, func(r DegradationRow) string {
 		res := "up"
 		if r.ResolverDown {
 			res = "down"
 		}
-		fmt.Fprintf(w, "%s\t%.2f\t%s\t%.2f\t%.2f\t%.2f\t%.1f\n",
-			r.Design, r.FailFraction, res, r.Imp.Latency, r.Imp.Congestion, r.Imp.OriginLoad, r.RetainedLatency)
-	}
-	flushTab(w)
-	return b.String()
+		return fmt.Sprintf("%s\t%.2f\t%s%s\t%.1f", r.Design, r.FailFraction, res, impCells(r.Imp), r.RetainedLatency)
+	})
 }

@@ -34,7 +34,7 @@ type Params struct {
 	// stream (see trace.StreamConfig.TemporalLocality). Zero reproduces an
 	// IID Zipf stream. The NR-over-EDGE gap shrinks to about (1 - q) of the
 	// IID gap, so ~0.7 lands on the paper's reported magnitudes mostly by
-	// dilution (see EXPERIMENTS.md and AblationTemporalLocality).
+	// dilution (see EXPERIMENTS.md and LocalityKnob).
 	TemporalLocality float64
 
 	// ObjectDivisor sets the simulated object universe to
@@ -66,9 +66,9 @@ type Params struct {
 	CustomTopology *topo.Topology
 
 	// TraceFile names a request log for TraceDrivenDesigns; VarianceSeeds
-	// sets the seed count for SeedVariance; FailFractions sets the points
-	// of DegradationCurve (nil = its default). All are CLI conveniences
-	// the Registry entries read.
+	// sets the seed count for SeedVariance (at least 2; DefaultParams: 5);
+	// FailFractions sets the points of DegradationCurve (nil = its
+	// default). All are CLI conveniences the Registry entries read.
 	TraceFile     string
 	VarianceSeeds int
 	FailFractions []float64
@@ -108,6 +108,7 @@ func DefaultParams(scale float64) Params {
 		SpatialSkew:        0,
 		ObjectDivisor:      360,
 		SweepTopology:      "ATT",
+		VarianceSeeds:      5,
 	}
 }
 
@@ -145,7 +146,7 @@ func (p Params) workloadSize() (requests, objects int) {
 	return requests, objects
 }
 
-// buildNetAndSizes resolves the network and workload dimensions for a
+// buildNet resolves the network and workload dimensions for a
 // topology without materializing requests.
 func (p Params) buildNet(tp *topo.Topology) (*topo.Network, int, int) {
 	net := topo.NewNetwork(tp, p.Arity, p.Depth)
@@ -186,52 +187,4 @@ func (p Params) baseConfig(tp *topo.Topology, net *topo.Network, objects int) si
 		Policy:         p.Policy,
 		Observer:       p.Observer,
 	}
-}
-
-// GapNRvsEdge runs ICN-NR and EDGE on the same workload and returns
-// RelImprov(ICN-NR) - RelImprov(EDGE) per metric, the sensitivity-analysis
-// measure of §5.
-func GapNRvsEdge(cfg sim.Config, reqs []sim.Request) (sim.Improvement, error) {
-	gaps, err := gapBatch([]gapCase{{a: sim.ICNNR, b: sim.EDGE, cfg: cfg, reqs: reqs}}, sim.Options{})
-	if err != nil {
-		return sim.Improvement{}, err
-	}
-	return gaps[0], nil
-}
-
-// gapCase is one point of a sensitivity sweep: the workload plus the two
-// designs whose improvement difference is measured.
-type gapCase struct {
-	a, b sim.Design
-	cfg  sim.Config
-	reqs []sim.Request
-}
-
-// gapBatch evaluates RelImprov(a) - RelImprov(b) for every case, fanning
-// all runs (baseline, a, b per case) across the parallel runner in one
-// batch. Results are ordered and deterministic regardless of worker count.
-func gapBatch(cases []gapCase, opt sim.Options) ([]sim.Improvement, error) {
-	sets := make([]sim.DesignSet, len(cases))
-	for i, c := range cases {
-		sets[i] = sim.DesignSet{Base: c.cfg, Designs: []sim.Design{c.a, c.b}, Reqs: c.reqs}
-	}
-	results, err := sim.CompareSets(sets, opt)
-	if err != nil {
-		return nil, err
-	}
-	gaps := make([]sim.Improvement, len(cases))
-	for i, r := range results {
-		gaps[i] = sim.Gap(r[0].Improvement, r[1].Improvement)
-	}
-	return gaps, nil
-}
-
-// nrEdgeCases builds the standard ICN-NR vs EDGE case list from parallel
-// slices of workloads.
-func nrEdgeCases(cfgs []sim.Config, reqss [][]sim.Request) []gapCase {
-	cases := make([]gapCase, len(cfgs))
-	for i := range cfgs {
-		cases[i] = gapCase{a: sim.ICNNR, b: sim.EDGE, cfg: cfgs[i], reqs: reqss[i]}
-	}
-	return cases
 }

@@ -3,10 +3,8 @@ package experiments
 import (
 	"fmt"
 	"math"
-	"strings"
 	"sync"
 	"sync/atomic"
-	"text/tabwriter"
 
 	"idicn/internal/cache"
 	"idicn/internal/sim"
@@ -57,38 +55,26 @@ func AblationPolicyOptimality(p Params) ([]PolicyOptimalityRow, error) {
 	if workers <= 0 {
 		workers = sim.DefaultWorkers()
 	}
-	if workers > len(seqs) {
-		workers = len(seqs)
-	}
-	if workers <= 1 {
-		for _, seq := range seqs {
-			total.Add(int64(len(seq)))
-			lruHits.Add(cache.LRUHits(seq, capacity))
-			lfuHits.Add(cache.LFUHits(seq, capacity))
-			optHits.Add(cache.BeladyHits(seq, capacity))
-		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(seqs) {
-						return
-					}
-					seq := seqs[i]
-					total.Add(int64(len(seq)))
-					lruHits.Add(cache.LRUHits(seq, capacity))
-					lfuHits.Add(cache.LFUHits(seq, capacity))
-					optHits.Add(cache.BeladyHits(seq, capacity))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range min(workers, len(seqs)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= len(seqs) {
+					return
 				}
-			}()
-		}
-		wg.Wait()
+				seq := seqs[i]
+				total.Add(int64(len(seq)))
+				lruHits.Add(cache.LRUHits(seq, capacity))
+				lfuHits.Add(cache.LFUHits(seq, capacity))
+				optHits.Add(cache.BeladyHits(seq, capacity))
+			}
+		}()
 	}
+	wg.Wait()
 	n, lru, lfu, best := total.Load(), lruHits.Load(), lfuHits.Load(), optHits.Load()
 	if n == 0 || best == 0 {
 		return nil, fmt.Errorf("experiments: empty workload for policy comparison")
@@ -103,12 +89,7 @@ func AblationPolicyOptimality(p Params) ([]PolicyOptimalityRow, error) {
 
 // FormatPolicyOptimality renders the policy-vs-optimal comparison.
 func FormatPolicyOptimality(rows []PolicyOptimalityRow) string {
-	var b strings.Builder
-	w := tabwriter.NewWriter(&b, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "Policy\tLeaf hit ratio\tFraction of optimal")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%s\t%.3f\t%.3f\n", r.Policy, r.HitRatio, r.FractionOfOpt)
-	}
-	flushTab(w)
-	return b.String()
+	return table("Policy\tLeaf hit ratio\tFraction of optimal", rows, func(r PolicyOptimalityRow) string {
+		return fmt.Sprintf("%s\t%.3f\t%.3f", r.Policy, r.HitRatio, r.FractionOfOpt)
+	})
 }

@@ -1,11 +1,6 @@
 package experiments
 
-import (
-	"fmt"
-	"strings"
-
-	"idicn/internal/sim"
-)
+import "idicn/internal/sim"
 
 // PolicySweepRow is one (policy, design) cell of the cache-policy sweep: the
 // percent improvement over no caching on the three metrics, with every
@@ -49,13 +44,7 @@ func PolicySweep(p Params) ([]PolicySweepRow, error) {
 // FormatPolicySweep renders the policy sweep grouped by policy, one line per
 // design with the three improvement percentages.
 func FormatPolicySweep(rows []PolicySweepRow) string {
-	var b strings.Builder
-	w := newTab(&b)
-	fmt.Fprintln(w, "Policy\tDesign\tLatency%\tCongestion%\tOriginLoad%")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%s\t%s\t%.2f\t%.2f\t%.2f\n",
-			r.Policy, r.Design, r.Imp.Latency, r.Imp.Congestion, r.Imp.OriginLoad)
-	}
-	flushTab(w)
-	return b.String()
+	return table("Policy\tDesign\tLatency%\tCongestion%\tOriginLoad%", rows, func(r PolicySweepRow) string {
+		return r.Policy + "\t" + r.Design + impCells(r.Imp)
+	})
 }

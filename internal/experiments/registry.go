@@ -1,6 +1,10 @@
 package experiments
 
-import "fmt"
+import (
+	"fmt"
+
+	"idicn/internal/sim"
+)
 
 // Experiment is one artifact the reproduction regenerates: a table or figure
 // of the paper's evaluation, or one of the repo's own sensitivity checks and
@@ -33,27 +37,29 @@ var Registry = []Experiment{
 	{ID: "table3", Title: "Table 3: ICN-NR vs EDGE latency gap, trace vs best-fit synthetic",
 		Run: func(p Params) (string, error) { return show(FormatTable3)(Table3(p)) }},
 	{ID: "fig8a", Title: "Figure 8(a): NR-over-EDGE gap vs Zipf alpha",
-		Run: func(p Params) (string, error) { return show(sweep("alpha"))(Figure8a(p, nil)) }},
+		Run: sweep(FormatSweep, AlphaKnob(0.2, 0.4, 0.6, 0.8, 1.0, 1.2, 1.4, 1.6))},
 	{ID: "fig8b", Title: "Figure 8(b): NR-over-EDGE gap vs per-router cache budget (%)",
-		Run: func(p Params) (string, error) { return show(sweep("budget%"))(Figure8b(p, nil)) }},
+		Run: sweep(FormatSweep, BudgetKnob(1e-5, 1e-4, 1e-3, 5e-3, 0.01, 0.02, 0.05, 0.1, 0.3, 1))},
 	{ID: "fig8c", Title: "Figure 8(c): NR-over-EDGE gap vs spatial skew",
-		Run: func(p Params) (string, error) { return show(sweep("skew"))(Figure8c(p, nil)) }},
+		Run: sweep(FormatSweep, SkewKnob(0, 0.2, 0.4, 0.6, 0.8, 1))},
 	{ID: "table4", Title: "Table 4: NR-over-EDGE gains vs access-tree arity (64 leaves/tree)",
 		Run: func(p Params) (string, error) { return show(FormatTable4)(Table4(p)) }},
 	{ID: "table4-norm", Title: "Table 4 variant: arity sweep against EDGE-Norm (equal budgets)",
 		Run: func(p Params) (string, error) { return show(FormatTable4)(Table4Normalized(p)) }},
 	{ID: "fig9", Title: "Figure 9: progressive best case for ICN-NR",
-		Run: func(p Params) (string, error) { return show(FormatFigure9)(Figure9(p)) }},
+		Run: sweep(FormatNamedGaps, BestCaseKnob())},
 	{ID: "fig10", Title: "Figure 10: bridging the best-case gap with EDGE extensions",
-		Run: func(p Params) (string, error) { return show(FormatFigure10)(Figure10(p)) }},
+		Run: func(p Params) (string, error) {
+			return show(func(rows []SweepRow) string { return FormatNamedGaps("EDGE variant", rows) })(Figure10(p))
+		}},
 	{ID: "sens-latency", Title: "Sensitivity: latency models (§5.1)",
-		Run: func(p Params) (string, error) { return show(gaps("model"))(SensitivityLatencyModels(p)) }},
+		Run: sweep(FormatNamedGaps, LatencyModelKnob())},
 	{ID: "sens-capacity", Title: "Sensitivity: per-node serving capacity (§5.1)",
-		Run: func(p Params) (string, error) { return show(gaps("capacity"))(SensitivityCapacity(p, nil)) }},
+		Run: sweep(FormatNamedGaps, CapacityKnob(0, 10, 100, 1000))},
 	{ID: "sens-objsize", Title: "Sensitivity: heterogeneous object sizes (§5.1)",
-		Run: func(p Params) (string, error) { return show(gaps("sizes"))(SensitivityObjectSizes(p)) }},
+		Run: sweep(FormatNamedGaps, ObjectSizeKnob())},
 	{ID: "sens-policy", Title: "Sensitivity: LRU vs LFU cache management (§3)",
-		Run: func(p Params) (string, error) { return show(gaps("policy"))(SensitivityPolicy(p)) }},
+		Run: sweep(FormatNamedGaps, PolicyKnob(sim.PolicyLRU, sim.PolicyLFU))},
 	{ID: "policy-sweep", Title: "Policy sweep: cache-policy zoo x placement/routing designs",
 		Run: func(p Params) (string, error) { return show(FormatPolicySweep)(PolicySweep(p)) }},
 	{ID: "flood", Title: "Flood protection (§7): origin-load absorption under a flash crowd",
@@ -71,19 +77,19 @@ var Registry = []Experiment{
 	{ID: "ablation-universe", Title: "Ablation: object-universe size (workload warmth) vs design improvements",
 		Run: func(p Params) (string, error) { return show(FormatAblation)(AblationObjectUniverse(p, nil)) }},
 	{ID: "ablation-lookup", Title: "Ablation: charging nearest-replica lookup a latency cost (hops)",
-		Run: func(p Params) (string, error) { return show(sweep("penalty"))(AblationLookupCost(p, nil)) }},
+		Run: sweep(FormatSweep, LookupPenaltyKnob(0, 0.5, 1, 2, 4))},
 	{ID: "ablation-deployment", Title: "Ablation: incremental deployment (EDGE caches at a growing fraction of PoPs)",
 		Run: func(p Params) (string, error) {
 			return show(FormatDeployment)(AblationIncrementalDeployment(p, nil))
 		}},
 	{ID: "ablation-locality", Title: "Ablation: temporal locality in the request stream vs NR-over-EDGE gap",
-		Run: func(p Params) (string, error) { return show(sweep("locality"))(AblationTemporalLocality(p, nil)) }},
+		Run: sweep(FormatSweep, LocalityKnob(0, 0.2, 0.4, 0.6, 0.8))},
 	{ID: "ablation-policy", Title: "Ablation: LRU/LFU vs Belady's offline optimum at the leaf caches",
 		Run: func(p Params) (string, error) { return show(FormatPolicyOptimality)(AblationPolicyOptimality(p)) }},
 	{ID: "ablation-warmup", Title: "Ablation: warmup fraction excluded from metrics vs NR-over-EDGE gap",
-		Run: func(p Params) (string, error) { return show(sweep("warmup"))(AblationWarmup(p, nil)) }},
+		Run: sweep(FormatSweep, WarmupKnob(0, 0.25, 0.5, 0.75))},
 	{ID: "ablation-coop", Title: "Ablation: cooperative search scope of EDGE vs the ICN-NR gap",
-		Run: func(p Params) (string, error) { return show(sweep("scope"))(AblationCoopScope(p, nil)) }},
+		Run: sweep(FormatSweep, CoopScopeKnob(0, 2, 4, 6))},
 	{ID: "trace-designs", Title: "Trace-driven designs: five architectures on a request log file", Extra: true,
 		Run: func(p Params) (string, error) {
 			switch {
@@ -108,11 +114,14 @@ func show[T any](format func(T) string) func(T, error) (string, error) {
 	}
 }
 
-// sweep and gaps bind the x-axis or row label of the two shared formatters.
-func sweep(xLabel string) func([]SweepPoint) string {
-	return func(pts []SweepPoint) string { return FormatSweep(xLabel, pts) }
-}
-
-func gaps(label string) func([]NamedGap) string {
-	return func(rows []NamedGap) string { return FormatNamedGaps(label, rows) }
+// sweep is the Run of a knob sweep: Sweep(p, k) rendered by format
+// (FormatSweep or FormatNamedGaps) under the knob's label.
+func sweep(format func(string, []SweepRow) string, k Knob) func(Params) (string, error) {
+	return func(p Params) (string, error) {
+		rows, err := Sweep(p, k)
+		if err != nil {
+			return "", err
+		}
+		return format(k.Label, rows), nil
+	}
 }

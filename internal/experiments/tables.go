@@ -83,6 +83,7 @@ type Table3Row struct {
 // compares the ICN-NR vs EDGE query-latency gap under (a) the Asia-model
 // trace and (b) an independently generated log using the trace's best-fit
 // Zipf parameter. The paper finds the two agree within ~1.7%.
+// Not a Knob sweep: it spans every topology and half its streams are traces.
 func Table3(p Params) ([]Table3Row, error) {
 	requests, objects := p.workloadSize()
 	asia := trace.Asia(p.Scale)
@@ -112,8 +113,8 @@ func Table3(p Params) ([]Table3Row, error) {
 			Seed:       p.Seed + 4,
 		})
 		cases = append(cases,
-			gapCase{a: sim.ICNNR, b: sim.EDGE, cfg: cfg, reqs: traceReqs},
-			gapCase{a: sim.ICNNR, b: sim.EDGE, cfg: cfg, reqs: synthReqs})
+			gapCase{versus: sim.EDGE, cfg: cfg, reqs: traceReqs},
+			gapCase{versus: sim.EDGE, cfg: cfg, reqs: synthReqs})
 	}
 	gaps, err := gapBatch(cases, p.simOptions())
 	if err != nil {
@@ -159,28 +160,16 @@ func Table4Normalized(p Params) ([]Table4Row, error) {
 	return table4(p, sim.EDGENorm)
 }
 
-func table4(p Params, edge sim.Design) ([]Table4Row, error) {
-	configs := []struct{ arity, depth int }{{2, 6}, {4, 3}, {8, 2}, {64, 1}}
-	cases := make([]gapCase, len(configs))
-	for i, c := range configs {
-		pc := p
-		pc.Arity, pc.Depth = c.arity, c.depth
-		cfg, reqs := pc.Workload(pc.sweepTopology())
-		cases[i] = gapCase{a: sim.ICNNR, b: edge, cfg: cfg, reqs: reqs}
-	}
-	gaps, err := gapBatch(cases, p.simOptions())
+func table4(p Params, versus sim.Design) ([]Table4Row, error) {
+	rows := []Table4Row{{Arity: 2, Depth: 6}, {Arity: 4, Depth: 3}, {Arity: 8, Depth: 2}, {Arity: 64, Depth: 1}}
+	gaps, err := Sweep(p, numeric("arity", rows, func(r Table4Row) KnobPoint {
+		return KnobPoint{X: float64(r.Arity), Versus: versus, Params: func(q *Params) { q.Arity, q.Depth = r.Arity, r.Depth }}
+	}))
 	if err != nil {
 		return nil, err
 	}
-	rows := make([]Table4Row, 0, len(configs))
-	for i, c := range configs {
-		rows = append(rows, Table4Row{
-			Arity:          c.arity,
-			Depth:          c.depth,
-			LatencyGain:    gaps[i].Latency,
-			CongestionGain: gaps[i].Congestion,
-			OriginGain:     gaps[i].OriginLoad,
-		})
+	for i, g := range gaps {
+		rows[i].LatencyGain, rows[i].CongestionGain, rows[i].OriginGain = g.Gap.Latency, g.Gap.Congestion, g.Gap.OriginLoad
 	}
 	return rows, nil
 }

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"math"
 	"os"
-	"strings"
+	"strconv"
 
 	"idicn/internal/sim"
 	"idicn/internal/trace"
@@ -58,29 +58,26 @@ type VarianceRow struct {
 	Max    float64
 }
 
-// SeedVariance re-runs the headline gap measurement under n independent
-// seeds (workload and origin assignment both re-drawn) and reports the
-// spread, quantifying how much of any single number is noise.
+// SeedVariance re-runs the headline gap measurement under n >= 2
+// independent seeds (workload and origin assignment both re-drawn) and
+// reports the spread, quantifying how much of any single number is noise.
 func SeedVariance(p Params, n int) ([]VarianceRow, error) {
 	if n < 2 {
-		n = 5
+		return nil, fmt.Errorf("experiments: seed variance needs at least 2 seeds, got %d", n)
 	}
-	cfgs := make([]sim.Config, n)
-	reqss := make([][]sim.Request, n)
-	for i := 0; i < n; i++ {
-		pc := p
-		pc.Seed = p.Seed + int64(i)*1000003
-		cfgs[i], reqss[i] = pc.Workload(pc.sweepTopology())
+	k := Knob{Label: "seed"}
+	for i := range n {
+		k.Points = append(k.Points, KnobPoint{Name: strconv.Itoa(i), X: float64(i), Params: func(q *Params) { q.Seed += int64(i) * 1000003 }})
 	}
-	gaps, err := gapBatch(nrEdgeCases(cfgs, reqss), p.simOptions())
+	gaps, err := Sweep(p, k)
 	if err != nil {
 		return nil, err
 	}
 	pick := func(name string, get func(sim.Improvement) float64) VarianceRow {
-		row := VarianceRow{Metric: name, Min: get(gaps[0]), Max: get(gaps[0])}
+		row := VarianceRow{Metric: name, Min: get(gaps[0].Gap), Max: get(gaps[0].Gap)}
 		var sum, sumSq float64
 		for _, g := range gaps {
-			v := get(g)
+			v := get(g.Gap)
 			sum += v
 			sumSq += v * v
 			if v < row.Min {
@@ -108,17 +105,7 @@ func SeedVariance(p Params, n int) ([]VarianceRow, error) {
 
 // FormatVariance renders the seed-variance summary.
 func FormatVariance(rows []VarianceRow) string {
-	out := "Metric\tMean gap%\tStdDev\tMin\tMax\n"
-	for _, r := range rows {
-		out += fmt.Sprintf("%s\t%.2f\t%.2f\t%.2f\t%.2f\n", r.Metric, r.Mean, r.StdDev, r.Min, r.Max)
-	}
-	return tabulate(out)
-}
-
-func tabulate(tsv string) string {
-	var b strings.Builder
-	w := newTab(&b)
-	fmt.Fprint(w, tsv)
-	flushTab(w)
-	return b.String()
+	return table("Metric\tMean gap%\tStdDev\tMin\tMax", rows, func(r VarianceRow) string {
+		return fmt.Sprintf("%s\t%.2f\t%.2f\t%.2f\t%.2f", r.Metric, r.Mean, r.StdDev, r.Min, r.Max)
+	})
 }

@@ -215,7 +215,7 @@ type Config struct {
 	// NR request not answered by the arrival leaf itself. The paper
 	// "conservatively assume[s] that routing and lookup have zero cost";
 	// this knob quantifies how much of ICN-NR's edge survives if they do
-	// not (see experiments.AblationLookupCost).
+	// not (see experiments.LookupPenaltyKnob).
 	NRLookupPenalty float64
 
 	// Observer, when non-nil, receives one ServeEvent per request and one

@@ -35,7 +35,7 @@ type StreamConfig struct {
 	// paper's dataset served ~70% of requests locally); IID Zipf streams
 	// have none, which is the main reason synthetic workloads overstate
 	// nearest-replica routing's advantage — see
-	// experiments.AblationTemporalLocality.
+	// experiments.LocalityKnob.
 	TemporalLocality float64
 	// LocalityWindow is the per-leaf recency window size (default 64).
 	LocalityWindow int
